@@ -35,10 +35,14 @@ slices picklable — the BFS fans out over the campaign executor
 (:func:`repro.eval.campaign.run_campaign`) with byte-identical
 visited-set digests for any worker count — and makes every
 counterexample a replayable trace on the live simulator by construction.
+Expanding a state costs one system build per outgoing transition: each
+child but the last replays the parent's path on a fresh system, and the
+last child takes over the replayed parent itself.
 """
 
 import hashlib
 from dataclasses import replace as dc_replace
+from itertools import permutations
 
 from repro.coherence.controller import ProtocolError
 from repro.coherence.snapshot import snap_message
@@ -175,7 +179,7 @@ class ExplorerHarness:
         self.parked = []
         for net in (self.system.host_net, self.system.accel_net):
             self._install_park(net)
-        self._core_maps = self._build_core_maps()
+        self._symmetry_maps = self._build_symmetry_maps()
         self._settle()
 
     # -- network parking ------------------------------------------------------
@@ -308,16 +312,11 @@ class ExplorerHarness:
 
     # -- coverage / projection harvest ---------------------------------------
 
-    def covered_pairs(self):
-        """Fired transitions so far, grouped by controller type."""
-        out = {}
-        for comp in self.system.controllers():
-            pairs = out.setdefault(comp.CONTROLLER_TYPE, set())
-            pairs.update(comp.covered_transitions())
-        return out
-
     def transition_relation(self):
-        """Declared transitions, grouped by controller type."""
+        """Declared transitions, grouped by controller type.
+
+        Fixed when the system is built, so one harness per cell yields it.
+        """
         out = {}
         for comp in self.system.controllers():
             pairs = out.setdefault(comp.CONTROLLER_TYPE, set())
@@ -355,13 +354,15 @@ class ExplorerHarness:
 
     # -- canonical hashing ----------------------------------------------------
 
-    def _build_core_maps(self):
-        """All CPU-core renamings as exact-string maps (identity included)."""
-        from itertools import permutations
+    def _build_symmetry_maps(self):
+        """Every (core renaming, address renaming) pair, identity included.
 
+        Each map holds only the values it moves, so the identity pair is
+        two empty dicts and renders without any lookups.
+        """
         seqs = [seq.name for seq in self.system.cpu_seqs]
         caches = [cache.name for cache in self.system.cpu_caches]
-        maps = []
+        name_maps = []
         for perm in permutations(range(len(seqs))):
             mapping = {}
             for source, target in enumerate(perm):
@@ -369,8 +370,12 @@ class ExplorerHarness:
                     continue
                 mapping[seqs[source]] = seqs[target]
                 mapping[caches[source]] = caches[target]
-            maps.append(mapping)
-        return maps
+            name_maps.append(mapping)
+        addr_maps = [
+            {addr: to for addr, to in zip(self.addresses, perm) if addr != to}
+            for perm in permutations(self.addresses)
+        ]
+        return [(names, addrs) for names in name_maps for addrs in addr_maps]
 
     def snapshot(self):
         """Logical full-system state as plain data (no ticks, no uids)."""
@@ -404,47 +409,45 @@ class ExplorerHarness:
     def canonical(self):
         """Canonical state text: min over core and address renamings."""
         snap = self.snapshot()
-        best = None
-        from itertools import permutations
-
-        for name_map in self._core_maps:
-            for addr_perm in permutations(self.addresses):
-                addr_map = dict(zip(self.addresses, addr_perm))
-                text = repr(_freeze(_rename(snap, name_map, addr_map)))
-                if best is None or text < best:
-                    best = text
-        return best
+        return min(_render(snap, name_map, addr_map)
+                   for name_map, addr_map in self._symmetry_maps)
 
     def digest(self):
         return _sha(self.canonical())
 
 
-def _rename(obj, name_map, addr_map):
-    """Apply the symmetry renaming to every string and int in a snapshot."""
+def _render(obj, name_map, addr_map):
+    """Canonical text of one snapshot under one symmetry renaming.
+
+    Strings go through ``name_map`` and ints through ``addr_map``; a dict
+    renders as ``('dict', (items))`` with its ``(key, value)`` item texts
+    sorted, a list or tuple as ``('tuple', (values))``, anything else as
+    its ``repr``. That is the ``repr`` of the renamed snapshot with every
+    dict frozen into a sorted item tuple, built bottom-up in one pass.
+    """
     if isinstance(obj, str):
-        return name_map.get(obj, obj)
+        return repr(name_map.get(obj, obj) if name_map else obj)
     if isinstance(obj, bool) or obj is None or isinstance(obj, (bytes, float)):
-        return obj
+        return repr(obj)
     if isinstance(obj, int):
-        return addr_map.get(obj, obj)
+        return repr(addr_map.get(obj, obj) if addr_map else obj)
     if isinstance(obj, dict):
-        return {
-            _rename(key, name_map, addr_map): _rename(value, name_map, addr_map)
+        items = sorted([
+            f"({_render(key, name_map, addr_map)}, "
+            f"{_render(value, name_map, addr_map)})"
             for key, value in obj.items()
-        }
+        ])
+        return f"('dict', {_tuple_text(items)})"
     if isinstance(obj, (list, tuple)):
-        return tuple(_rename(value, name_map, addr_map) for value in obj)
-    return obj
+        return f"('tuple', {_tuple_text([_render(v, name_map, addr_map) for v in obj])})"
+    return repr(obj)
 
 
-def _freeze(obj):
-    """Deterministic hashable form: dicts become sorted item tuples."""
-    if isinstance(obj, dict):
-        items = [(_freeze(key), _freeze(value)) for key, value in obj.items()]
-        return ("dict", tuple(sorted(items, key=repr)))
-    if isinstance(obj, (list, tuple)):
-        return ("tuple", tuple(_freeze(value) for value in obj))
-    return obj
+def _tuple_text(parts):
+    """``repr`` of a tuple whose elements render as ``parts``."""
+    if len(parts) == 1:
+        return f"({parts[0]},)"
+    return f"({', '.join(parts)})"
 
 
 def _sha(text):
@@ -492,36 +495,46 @@ def _expand_one(cell, path, check, channel_bound):
         "violation": None,
         "covered": {},
         "projections": set(),
-        "relation": {},
     }
+    # harvest the parent now: its last child takes it over below
+    _harvest(record, parent)
 
     def fail(reason, extra_action=None, harness=None):
         trace = [list(a) for a in path]
         if extra_action is not None:
             trace.append(list(extra_action))
         flagged = harness if harness is not None else parent
+        text = flagged.canonical()
         record["violation"] = {
             "cell": dict(cell),
             "path": trace,
             "reason": reason,
             "check": check,
-            "canonical": flagged.canonical(),
-            "digest": flagged.digest(),
+            "canonical": text,
+            "digest": _sha(text),
         }
 
     problems = parent.state_problems(check)
     if problems:
         fail(problems[0])
-        return _finish(record, parent)
+        return _finish(record)
     actions = parent.enabled_actions()
     if not record["quiescent"] and not any(a[0] == "deliver" for a in actions):
         fail("deadlock: non-quiescent state with no deliverable message")
-        return _finish(record, parent)
-    for action in actions:
-        child = replay_path(cell, path, channel_bound=channel_bound)
+        return _finish(record)
+    last = len(actions) - 1
+    for index, action in enumerate(actions):
+        # one build per transition: the last child consumes the parent
+        if index == last:
+            child = parent
+        else:
+            child = replay_path(cell, path, channel_bound=channel_bound)
         try:
             child.apply(action)
         except (ProtocolError, InvariantError, DeadlockError) as exc:
+            if child is parent:
+                # fail() reports the unmodified parent, so rebuild it
+                parent = replay_path(cell, path, channel_bound=channel_bound)
             fail(f"{type(exc).__name__}: {exc}", extra_action=action)
             break
         problems = child.state_problems(check)
@@ -534,27 +547,26 @@ def _expand_one(cell, path, check, channel_bound):
             "digest": child.digest(),
             "quiescent": child.is_quiescent(),
         })
-    return _finish(record, parent)
+    return _finish(record)
 
 
 def _harvest(record, harness):
-    for ctype, pairs in harness.covered_pairs().items():
-        record["covered"].setdefault(ctype, set()).update(
-            tuple(pair) for pair in pairs)
+    """Add the raw (state, event) keys every controller has fired so far."""
+    covered = record["covered"]
+    for comp in harness.system.controllers():
+        covered.setdefault(comp.CONTROLLER_TYPE, set()).update(comp.coverage)
     record["projections"].update(harness.link_projection())
 
 
-def _finish(record, parent):
-    _harvest(record, parent)
-    for ctype, pairs in parent.transition_relation().items():
-        record["relation"].setdefault(ctype, set()).update(
-            tuple(pair) for pair in pairs)
+def _finish(record):
+    # name the raw keys once per record, as ``covered_transitions`` does;
     # plain sorted lists: records cross process boundaries
     record["covered"] = {
-        ctype: sorted(pairs) for ctype, pairs in record["covered"].items()
-    }
-    record["relation"] = {
-        ctype: sorted(pairs) for ctype, pairs in record["relation"].items()
+        ctype: sorted({
+            (getattr(state, "name", str(state)), getattr(event, "name", str(event)))
+            for state, event in keys
+        })
+        for ctype, keys in record["covered"].items()
     }
     record["projections"] = sorted(record["projections"])
     return record
@@ -585,9 +597,9 @@ def explore_cell(host="mesi", variant="full_state", addresses=1, n_cpus=2,
     root_digest = root.digest()
     visited = {root_digest}
     quiescent = {root_digest} if root.is_quiescent() else set()
+    relation = root.transition_relation()
     frontier = [()]
     reachable = {}
-    relation = {}
     projections = set()
     transitions = 0
     counterexample = None
@@ -599,9 +611,6 @@ def explore_cell(host="mesi", variant="full_state", addresses=1, n_cpus=2,
         for record in records:
             for ctype, pairs in record["covered"].items():
                 reachable.setdefault(ctype, set()).update(
-                    tuple(pair) for pair in pairs)
-            for ctype, pairs in record["relation"].items():
-                relation.setdefault(ctype, set()).update(
                     tuple(pair) for pair in pairs)
             projections.update(tuple(pair) for pair in record["projections"])
             if record["violation"] is not None:
@@ -742,7 +751,10 @@ def load_reachable_report(path, include_partial=False):
 
     with open(path) as fh:
         payload = json.load(fh)
-    cells = payload.get("cells", payload if isinstance(payload, list) else [payload])
+    if isinstance(payload, list):
+        cells = payload
+    else:
+        cells = payload.get("cells", [payload])
     out = {}
     for result in cells:
         if result.get("truncated") and not include_partial:

@@ -6,6 +6,8 @@ explore-smoke job and local deep verification).
 """
 
 import json
+import random
+from itertools import permutations
 
 import pytest
 
@@ -15,8 +17,12 @@ from repro.host.config import HostProtocol
 from repro.host.system import build_system
 from repro.obs.matrix import CellSummary, render_missing
 from repro.obs import CoverageMatrix
+from repro.testing.invariants import InvariantError
 from repro.verify.explorer import (
     ADDRESS_POOL,
+    CHECKS,
+    HOSTS,
+    VARIANTS,
     ExplorerHarness,
     authoritative_uncovered,
     cell_config,
@@ -134,6 +140,78 @@ def test_replay_is_deterministic():
     assert replay_path(CELL, path).digest() == replay_path(CELL, path).digest()
 
 
+# The reference canonicalizer: rename every string and int through the
+# symmetry maps, freeze dicts into item tuples sorted by their repr, and
+# take the repr. ``ExplorerHarness.canonical`` renders the same text in
+# one pass; these stay here as its oracle.
+
+
+def _rename(obj, name_map, addr_map):
+    """Apply the symmetry renaming to every string and int in a snapshot."""
+    if isinstance(obj, str):
+        return name_map.get(obj, obj)
+    if isinstance(obj, bool) or obj is None or isinstance(obj, (bytes, float)):
+        return obj
+    if isinstance(obj, int):
+        return addr_map.get(obj, obj)
+    if isinstance(obj, dict):
+        return {
+            _rename(key, name_map, addr_map): _rename(value, name_map, addr_map)
+            for key, value in obj.items()
+        }
+    if isinstance(obj, (list, tuple)):
+        return tuple(_rename(value, name_map, addr_map) for value in obj)
+    return obj
+
+
+def _freeze(obj):
+    """Deterministic hashable form: dicts become sorted item tuples."""
+    if isinstance(obj, dict):
+        items = [(_freeze(key), _freeze(value)) for key, value in obj.items()]
+        return ("dict", tuple(sorted(items, key=repr)))
+    if isinstance(obj, (list, tuple)):
+        return ("tuple", tuple(_freeze(value) for value in obj))
+    return obj
+
+
+def _reference_canonical(harness):
+    """Min over every CPU-core permutation x address permutation."""
+    seqs = [seq.name for seq in harness.system.cpu_seqs]
+    caches = [cache.name for cache in harness.system.cpu_caches]
+    snap = harness.snapshot()
+    texts = []
+    for perm in permutations(range(len(seqs))):
+        name_map = {}
+        for source, target in enumerate(perm):
+            name_map[seqs[source]] = seqs[target]
+            name_map[caches[source]] = caches[target]
+        for addr_perm in permutations(harness.addresses):
+            addr_map = dict(zip(harness.addresses, addr_perm))
+            texts.append(repr(_freeze(_rename(snap, name_map, addr_map))))
+    return min(texts)
+
+
+def _check_canonical_against_reference(host, variant, walks, steps):
+    for n_cpus in (1, 2):
+        for addresses in (1, 2):
+            cell = {"host": host, "variant": variant,
+                    "addresses": addresses, "n_cpus": n_cpus}
+            for walk in range(walks):
+                rng = random.Random(f"{host}/{variant}/{n_cpus}/{addresses}/{walk}")
+                harness = ExplorerHarness(cell)
+                for step in range(steps):
+                    assert harness.canonical() == _reference_canonical(harness), (
+                        cell, walk, step)
+                    harness.apply(rng.choice(harness.enabled_actions()))
+
+
+@pytest.mark.parametrize("variant", sorted(VARIANTS))
+@pytest.mark.parametrize("host", sorted(HOSTS))
+def test_canonical_matches_reference_oracle(host, variant):
+    """Seeded random walks, 1-2 CPUs x 1-2 addresses: byte-identical text."""
+    _check_canonical_against_reference(host, variant, walks=3, steps=40)
+
+
 # -- capped BFS ---------------------------------------------------------------
 
 
@@ -157,6 +235,32 @@ def test_serial_and_sharded_digests_identical():
     assert serial["reachable"] == sharded["reachable"]
 
 
+#: Capped explorations whose output bytes must never drift: cell ->
+#: (visited-set digest, states, transitions, quiescent states) at
+#: ``max_states=120``. A change to expansion or hashing that alters a
+#: single explored state moves the digest.
+PINNED_CAPPED = {
+    ("mesi", "full_state", 1): (
+        "8c300b724bdb3e1e889dc08c0148d7c63f7e41799865335c2fed1c746edded32",
+        120, 501, 3),
+    ("hammer", "transactional", 2): (
+        "2c8df0c8b7e944d08817acd7831fd404db27deddad0a1ac48787a9dbe9aa7ab1",
+        120, 721, 1),
+    ("mesif", "full_state", 2): (
+        "1d1dcdbc8c64d3aa6702cde8ed3709906d0f368b5126dc1269258b4bf5ab5624",
+        120, 606, 1),
+}
+
+
+@pytest.mark.parametrize("host,variant,addresses", sorted(PINNED_CAPPED))
+def test_capped_exploration_output_is_pinned(host, variant, addresses):
+    result = explore_cell(host=host, variant=variant, addresses=addresses,
+                          max_states=120)
+    got = (result["digest"], result["states"], result["transitions"],
+           result["quiescent_states"])
+    assert got == PINNED_CAPPED[(host, variant, addresses)]
+
+
 # -- counterexamples (satellite: replay byte-for-byte) ------------------------
 
 
@@ -167,11 +271,67 @@ def test_counterexample_replays_byte_for_byte():
     assert counterexample is not None
     assert not result["ok"]
     assert "demo_accel_never_owns" in counterexample["reason"]
+    assert counterexample["digest"] == (
+        "9448758afec50f6c71c0dcc3fb0af97c93038937f3efa290369df2e256725976")
     replayed = replay_path(counterexample["cell"],
                            [tuple(a) for a in counterexample["path"]])
     assert replayed.canonical() == counterexample["canonical"]
     assert replayed.digest() == counterexample["digest"]
     assert replayed.state_problems("demo_accel_never_owns")
+
+
+def _accel_store_outstanding(harness):
+    for seq in harness.system.accel_seqs:
+        if any(op == "Store" for _addr, op, _value
+               in seq.snapshot_state()["outstanding"]):
+            return f"{seq.name} has a store in flight"
+    return None
+
+
+def test_violation_on_last_action_replays_byte_for_byte(monkeypatch):
+    """The root's last enabled action is the accelerator store, so the
+    flagged child is the harness that took over the expanded parent."""
+    monkeypatch.setitem(CHECKS, "accel_store_outstanding",
+                        _accel_store_outstanding)
+    *earlier, last = ExplorerHarness(CELL).enabled_actions()
+    assert last == ("issue", 2, "store", ADDR)
+    result = explore_cell(**CELL, check="accel_store_outstanding")
+    counterexample = result["counterexample"]
+    assert counterexample["path"] == [list(last)]
+    replayed = replay_path(CELL, [tuple(a) for a in counterexample["path"]])
+    assert replayed.canonical() == counterexample["canonical"]
+    assert replayed.digest() == counterexample["digest"]
+    assert replayed.state_problems("accel_store_outstanding")
+    # reachable = the parent's and the clean children's coverage, never
+    # the failing child's
+    expected = {}
+    for path in [[]] + [[action] for action in earlier]:
+        for comp in replay_path(CELL, path).system.controllers():
+            expected.setdefault(comp.CONTROLLER_TYPE, set()).update(
+                comp.covered_transitions())
+    reachable = {ctype: set(pairs) for ctype, pairs in result["reachable"].items()}
+    assert reachable == expected
+
+
+def test_exception_on_last_action_reports_unmodified_parent(monkeypatch):
+    """``apply`` raising after it changed the harness still reports the
+    parent's own canonical text, not the half-applied child's."""
+    last = ExplorerHarness(CELL).enabled_actions()[-1]
+    real_apply = ExplorerHarness.apply
+
+    def apply_then_raise(self, action):
+        real_apply(self, action)
+        if tuple(action) == last:
+            raise InvariantError("injected after apply")
+
+    monkeypatch.setattr(ExplorerHarness, "apply", apply_then_raise)
+    result = explore_cell(**CELL)
+    counterexample = result["counterexample"]
+    assert counterexample["path"] == [list(last)]
+    assert counterexample["reason"] == "InvariantError: injected after apply"
+    parent = ExplorerHarness(CELL)
+    assert counterexample["canonical"] == parent.canonical()
+    assert counterexample["digest"] == parent.digest()
 
 
 def test_counterexample_path_is_json_round_trippable():
@@ -232,10 +392,17 @@ def test_load_reachable_report_skips_truncated(tmp_path):
         {"truncated": False, "reachable": {"l2": [["A", "X"]]}},
         {"truncated": True, "reachable": {"l2": [["B", "Y"]]}},
     ]}
-    path.write_text(json.dumps(payload))
+    shapes = {
+        "report": payload,
+        "bare list": payload["cells"],
+    }
+    for shape, content in shapes.items():
+        path.write_text(json.dumps(content))
+        assert load_reachable_report(path) == {"l2": {("A", "X")}}, shape
+        both = load_reachable_report(path, include_partial=True)
+        assert both == {"l2": {("A", "X"), ("B", "Y")}}, shape
+    path.write_text(json.dumps(payload["cells"][0]))
     assert load_reachable_report(path) == {"l2": {("A", "X")}}
-    both = load_reachable_report(path, include_partial=True)
-    assert both == {"l2": {("A", "X"), ("B", "Y")}}
 
 
 # -- report integration -------------------------------------------------------
@@ -317,3 +484,30 @@ def test_other_hosts_capped_exploration_clean(host):
     result = explore_cell(host=host, variant="full_state",
                           addresses=1, max_states=5000)
     assert result["ok"]
+
+
+#: Complete 1-CPU proofs: (states, transitions) per host x variant cell.
+ONE_CPU_PROOFS = {
+    ("mesi", "full_state"): (1029, 2787),
+    ("mesi", "transactional"): (1035, 2791),
+    ("hammer", "full_state"): (1882, 4932),
+    ("hammer", "transactional"): (1880, 4900),
+    ("mesif", "full_state"): (1101, 2983),
+    ("mesif", "transactional"): (1119, 3013),
+}
+
+
+@pytest.mark.explore_full
+@pytest.mark.parametrize("host,variant", sorted(ONE_CPU_PROOFS))
+def test_one_cpu_cell_proved(host, variant):
+    result = explore_cell(host=host, variant=variant, addresses=1, n_cpus=1)
+    assert result["complete"]
+    assert result["ok"]
+    assert (result["states"], result["transitions"]) == ONE_CPU_PROOFS[(host, variant)]
+
+
+@pytest.mark.explore_full
+@pytest.mark.parametrize("variant", sorted(VARIANTS))
+@pytest.mark.parametrize("host", sorted(HOSTS))
+def test_canonical_matches_reference_oracle_deep(host, variant):
+    _check_canonical_against_reference(host, variant, walks=20, steps=30)
