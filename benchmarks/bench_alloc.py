@@ -1,11 +1,11 @@
 """E12c — allocation profile: steady-state allocations per event.
 
-The pooled message / struct-of-arrays event kernel claims the hot loop
-allocates nothing it keeps: recycled ``Message`` carriers, integer
-cancellation tokens, and per-tick slot buckets replace the per-event
-object churn of the tuple-heap kernel. This bench verifies the claim on
-the synthetic engine mix after a warmup run primes the pool and caches:
-net allocated blocks per event (post-GC) must be ~0, and the payload
+The struct-of-arrays event kernel claims the hot loop allocates nothing
+it keeps: integer cancellation tokens and per-tick slot buckets replace
+the per-event object churn of the tuple-heap kernel, and every delivered
+``Message`` is garbage once consumed. This bench verifies the claim on
+the synthetic engine mix after a warmup run primes the caches: net
+allocated blocks per event (post-GC) must be ~0, and the payload
 records tracemalloc net/peak plus gen-0 collection counts for the CI
 trajectory.
 
@@ -46,10 +46,9 @@ def test_alloc_steady_state(once):
             ["workload", "events", "messages", "net blocks", "net/event",
              "gen0 GCs", "peak KiB"],
             rows,
-            title="steady-state allocations (after pool warmup)",
+            title="steady-state allocations (after warmup)",
         )
     )
-    print(f"pool: {report['pool']}")
 
     out = os.environ.get("BENCH_ALLOC_OUT", "BENCH_alloc.json")
     if out:

@@ -182,9 +182,9 @@ class RogueAccel(Component):
             mtype, addr, sender=self.name, dest=self.xg_name, data=data, dirty=dirty
         )
         self.net.send(msg, port)
-        # Log a private clone: the XG releases the delivered instance to
-        # the message pool once consumed, and stale_replay must re-send
-        # the original contents, not whatever the carrier was recycled as.
+        # Log a private clone: once sent, the live instance belongs to
+        # the fabric and the XG (a corrupting link rewrites its payload),
+        # and stale_replay must re-send the original contents.
         self.sent_log.append((msg.clone(), port))
         self.messages_sent += 1
         self.stats.inc("adversary_msgs")
@@ -295,7 +295,6 @@ class RogueAccel(Component):
             if msg is None:
                 return
             self._handle_from_xg(msg)
-            msg.release()
 
     def _handle_from_xg(self, msg):
         mtype = msg.mtype

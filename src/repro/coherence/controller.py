@@ -93,13 +93,6 @@ class CoherenceController(Component):
     #: used by the contention experiments.
     occupancy = 0
 
-    #: Ports whose messages the wakeup loop must NOT release after a
-    #: CONSUMED outcome because protocol code retains the instance past
-    #: the handler (e.g. ``mandatory`` CPU ops parked in ``tbe.origin``
-    #: until the sequencer completes them). Everything else is released
-    #: back to the message pool the moment its transition consumes it.
-    RELEASE_EXEMPT_PORTS = ()
-
     def __init__(self, sim, name):
         super().__init__(sim, name)
         self.transitions = {}
@@ -115,11 +108,8 @@ class CoherenceController(Component):
         self._busy_until = 0
         self.protocol_errors = []
         # input buffers in declared priority order, resolved once
-        # (third element: may the wakeup loop pool-release consumed
-        # messages from this port?)
         self._prio_ports = tuple(
-            (port, self.in_ports[port], port not in self.RELEASE_EXEMPT_PORTS)
-            for port in self.PORTS
+            (port, self.in_ports[port]) for port in self.PORTS
         )
         # pre-bound hot-path counters (no-op sinks when metrics are off)
         self._stall_sink = self.stats.sink("stalls")
@@ -325,7 +315,7 @@ class CoherenceController(Component):
         lineage = self.sim.lineage
         while True:
             did_work = False
-            for port, buf, releasable in self._prio_ports:
+            for port, buf in self._prio_ports:
                 # Pop BEFORE handling: a handler may wake stalled messages
                 # onto this port's head, and popping afterwards would
                 # remove the woken message and re-process this one.
@@ -345,8 +335,6 @@ class CoherenceController(Component):
                     lid = 0
                     outcome = self.handle_message(port, msg)
                 if outcome == STALL:
-                    # The message stays alive in the stall buffer; it is
-                    # released on the pass that finally consumes it.
                     key = self.stall_key(msg)
                     self._stalled[key].append((port, msg))
                     self._stalled_since.setdefault(key, self.sim.tick)
@@ -361,8 +349,6 @@ class CoherenceController(Component):
                         lineage.requeued(lid, self.sim.tick)
                     continue
                 else:
-                    if releasable:
-                        msg.release()
                     did_work = True
                 break
             if did_work and self.occupancy:
@@ -388,8 +374,9 @@ class CoherenceController(Component):
     def note_protocol_anomaly(self, description, msg=None):
         """Record a tolerated anomaly (xg-tolerant host modes sink these).
 
-        The forensic log keeps a private clone: the live message carrier
-        may be released to the pool (and recycled) right after handling.
+        The forensic log keeps a private clone, so the record shows the
+        message as it was when the anomaly was noted, whatever later
+        handling does to the live instance.
         """
         snapshot = msg.clone() if msg is not None else None
         self.protocol_errors.append((self.sim.tick, description, snapshot))

@@ -35,7 +35,7 @@ def snap_value(value):
     if isinstance(value, enum.Enum):
         return value.name
     # Message carriers appear in meta ("accel_req", TBE.origin) and in
-    # channel contents; duck-type on the pooled Message slots.
+    # channel contents; duck-type on the Message slots.
     if hasattr(value, "mtype") and hasattr(value, "uid"):
         return snap_message(value)
     if hasattr(value, "to_bytes") and hasattr(value, "write"):  # DataBlock

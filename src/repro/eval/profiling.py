@@ -58,7 +58,6 @@ class _Ponger(Component):
                     Message(msg.mtype, msg.addr, sender=self.name, dest=self.peer),
                     "inbox",
                 )
-            msg.release()
 
 
 class _Sink(Component):
@@ -77,7 +76,6 @@ class _Sink(Component):
             if msg is None:
                 return
             self.received += 1
-            msg.release()
 
 
 def _timed(sim, **run_kwargs):
@@ -221,14 +219,13 @@ def alloc_benchmark_report(seed=0, warmup_runs=1):
     """Steady-state allocation profile of the engine mix (``BENCH_alloc.json``).
 
     For each synthetic workload this runs ``warmup_runs`` throwaway
-    iterations first — priming the message pool, route caches, counter
-    keys, and string interning — then measures one steady-state run two
-    ways:
+    iterations first — priming route caches, counter keys, and string
+    interning — then measures one steady-state run two ways:
 
     * **net allocated blocks** (``sys.getallocatedblocks`` delta across
       the run, garbage-collected on both sides): what the run *retained*.
-      With the pooled message/event kernel this is ~0 per event — the
-      headline number the perf gate story rests on;
+      With the struct-of-arrays event kernel this is ~0 per event — the
+      no-leak guarantee the perf gate story rests on;
     * **tracemalloc** net/peak bytes in a second pass (tracemalloc skews
       block counts, so it never overlaps the block measurement);
     * **gen-0 GC collections** during the run: transient container churn
@@ -237,8 +234,6 @@ def alloc_benchmark_report(seed=0, warmup_runs=1):
     import gc
     import sys
     import tracemalloc
-
-    from repro.sim.message import pool_stats
 
     workloads = {}
     for name, fn in ENGINE_WORKLOADS.items():
@@ -282,7 +277,6 @@ def alloc_benchmark_report(seed=0, warmup_runs=1):
         "warmup_runs": warmup_runs,
         "workloads": workloads,
         "worst_net_blocks_per_event": worst,
-        "pool": pool_stats(),
     }
 
 

@@ -92,10 +92,6 @@ class SystemConfig:
     # (repro.obs.lineage); records only flow once a Telemetry hub is
     # attached, and the default is a true no-op on every hot path
     lineage: bool = False
-    # message-pool debug mode: released messages are poisoned and a
-    # double release raises (repro.sim.message.set_pool_debug). Global,
-    # like the pool — the most recently built system wins.
-    pool_debug: bool = False
 
     # set True by the stress harness: random message latencies
     randomize_latencies: bool = False

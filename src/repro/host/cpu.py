@@ -115,10 +115,6 @@ class Sequencer(Component):
                 obs.spans.finish(record.span, self.sim.tick, status="ok")
         if record.callback is not None:
             record.callback(msg, data)
-        # The op message's life ends here: the controller dropped its
-        # tbe.origin reference when the transaction closed, the callback
-        # has run, and nothing downstream may keep the instance.
-        msg.release()
 
     def drained(self):
         return not self.outstanding

@@ -21,7 +21,6 @@ from repro.protocols.mesi.l1 import MesiL1
 from repro.protocols.mesi.l2 import MesiL2
 from repro.protocols.mesif.l1 import MesifL1
 from repro.protocols.mesif.l2 import MesifL2
-from repro.sim.message import set_pool_debug
 from repro.sim.network import FixedLatency, Network, RandomLatency
 from repro.sim.simulator import Simulator
 from repro.xg.errors import XGErrorLog
@@ -128,7 +127,6 @@ def _latency(lo, hi):
 
 
 def build_system(config: SystemConfig) -> System:
-    set_pool_debug(config.pool_debug)
     system = System(config)
     sim = Simulator(
         seed=config.seed,

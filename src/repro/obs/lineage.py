@@ -6,8 +6,9 @@ happened; this module explains *why* the time went where it did. A
 maintains a bounded ring of :class:`LineageRecord` cause records — one
 per delivered network message plus a synthetic root per sequencer issue —
 linked by "the handler of message A sent message B". Records live on the
-tracker, never on pooled :class:`~repro.sim.message.Message` carriers
-(those recycle the moment a transition consumes them).
+tracker, never on :class:`~repro.sim.message.Message` instances, so
+recording adds nothing to a message and a record outlives the message it
+describes.
 
 From every closed span the tracker walks the causal chain backwards from
 the message whose handling closed the span, partitioning the interval

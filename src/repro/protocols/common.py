@@ -31,12 +31,6 @@ class CacheControllerBase(CoherenceController):
 
     INVALID_STATE = None
 
-    #: Mandatory (CPU/accelerator op) messages are parked in ``tbe.origin``
-    #: until the transaction completes and the sequencer's callback has run
-    #: — the wakeup loop must not recycle them at CONSUMED time. The
-    #: sequencer releases them at completion instead.
-    RELEASE_EXEMPT_PORTS = ("mandatory",)
-
     def __init__(self, sim, name, num_sets=64, assoc=4, block_size=64, tbe_capacity=None):
         self.cache = CacheArray(num_sets, assoc, block_size=block_size, name=name)
         self.tbes = TBETable(capacity=tbe_capacity, name=name)

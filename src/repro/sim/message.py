@@ -1,85 +1,20 @@
-"""Generic coherence message carrier with a recycling pool.
+"""Generic coherence message carrier.
 
 Each protocol defines its own message-type enum; the :class:`Message` object
 itself is protocol-agnostic and carries the handful of fields coherence
 protocols need (address, data payload, requestor identity, ack counts,
 dirty bits). Unused fields stay at their defaults.
 
-Messages are the dominant steady-state allocation of the simulator, so
-construction is pooled: ``Message(...)`` transparently reuses a recycled
-instance from a module-level free list when one is available, and
-consumers that *know* a message's life has ended hand it back with
-:meth:`Message.release`. Release is strictly an optimization — a message
-that is never released simply falls to the garbage collector, so holding
-a reference without releasing is always safe. The hazards run the other
-direction (releasing while someone still holds the instance), which is
-why:
-
-* every instance carries a :attr:`Message.gen` generation counter that is
-  bumped on release — long-lived holders (tracer rings, forensic logs)
-  snapshot ``(msg, msg.gen)`` and can detect a recycled carrier instead
-  of silently reading another transaction's fields;
-* :func:`set_pool_debug` enables a paranoid mode that poisons released
-  messages (so stale reads crash loudly on the enum-typed fields) and
-  raises on double-release.
-
-``uid`` assignment is unchanged by pooling: every ``Message(...)`` call
-draws the next id from the global counter whether the instance came from
-the pool or from a fresh allocation, so uid streams — and therefore the
-golden-run digests and ordered-network tie-breaks built on them — are
-byte-identical with pooling on or off. :meth:`Message.clone` copies the
-uid of its original without consuming a counter value.
+Every ``Message(...)`` call allocates a fresh instance and draws the next
+``uid`` from one global counter, so uid streams — and therefore the
+golden-run digests and ordered-network tie-breaks built on them — are a
+pure function of the order messages are created in. :meth:`Message.clone`
+copies the uid of its original without consuming a counter value.
 """
 
 import itertools
 
 _MSG_IDS = itertools.count()
-
-#: Recycled instances ready for reuse, newest last (LIFO for cache warmth).
-_POOL = []
-
-#: Cap on the free list so a burst of traffic can't pin memory forever.
-_POOL_MAX = 4096
-
-_pool_debug = False
-
-
-class PoolError(RuntimeError):
-    """A pooled-message lifecycle violation caught by ``pool_debug``."""
-
-
-class _Poison:
-    """Sentinel planted in released messages under ``pool_debug``.
-
-    Any protocol-side read of a poisoned field fails fast: ``mtype``
-    comparisons, ``addr`` arithmetic and formatting all raise instead of
-    quietly producing another transaction's values.
-    """
-
-    def __repr__(self):
-        return "<released-message>"
-
-    def __bool__(self):
-        raise PoolError("read from a released (pooled) Message")
-
-
-_POISON = _Poison()
-
-
-def set_pool_debug(enabled):
-    """Toggle pool debug mode (poison-on-release, raise on double-release).
-
-    Global, like the pool itself; :func:`repro.host.system.build_system`
-    sets it from ``SystemConfig.pool_debug`` so the flag tracks whichever
-    system was built most recently.
-    """
-    global _pool_debug
-    _pool_debug = bool(enabled)
-
-
-def pool_stats():
-    """Introspection for tests/benchmarks: current free-list occupancy."""
-    return {"free": len(_POOL), "cap": _POOL_MAX, "debug": _pool_debug}
 
 
 class Message:
@@ -99,9 +34,6 @@ class Message:
         shared_hint: Hammer-style hint that the responder held the block
             (decides S vs E at the requestor).
         uid: unique id for tracing and ordered-network tie-breaking.
-        gen: generation counter, bumped each time the carrier instance is
-            released back to the pool. Holders that outlive the message
-            snapshot ``gen`` and compare before trusting the fields.
     """
 
     __slots__ = (
@@ -117,15 +49,11 @@ class Message:
         "value",
         "uid",
         "send_tick",
-        "gen",
-        "_pooled",
     )
 
     # All construction happens in __new__ so ``Message(...)`` costs a
     # single Python frame (object.__init__ is a C-level no-op when
-    # __new__ is overridden). ``gen`` is deliberately only initialized on
-    # fresh allocation — it belongs to the carrier instance, not the
-    # logical message, and survives reuse.
+    # __new__ is overridden).
     def __new__(
         cls,
         mtype=None,
@@ -139,11 +67,7 @@ class Message:
         shared_hint=False,
         value=None,
     ):
-        if _POOL:
-            self = _POOL.pop()
-        else:
-            self = object.__new__(cls)
-            self.gen = 0
+        self = object.__new__(cls)
         self.mtype = mtype
         self.addr = addr
         self.sender = sender
@@ -156,38 +80,7 @@ class Message:
         self.value = value
         self.uid = next(_MSG_IDS)
         self.send_tick = None
-        self._pooled = False
         return self
-
-    def release(self):
-        """Hand the carrier back to the pool.
-
-        Only the component that consumed the message (popped it from a
-        buffer and finished handling it) may release; see
-        ``docs/performance.md`` for the lifecycle rules. Double-release
-        is a lifecycle bug: it raises under ``pool_debug`` and is a
-        silent no-op otherwise (never corrupts the free list).
-        """
-        if self._pooled:
-            if _pool_debug:
-                raise PoolError(
-                    f"double release of Message uid={self.uid} gen={self.gen}"
-                )
-            return
-        self._pooled = True
-        self.gen += 1
-        # Drop payload references eagerly so pooled carriers don't pin
-        # DataBlocks or values until reuse.
-        self.data = None
-        self.requestor = None
-        self.value = None
-        if _pool_debug:
-            self.mtype = _POISON
-            self.addr = _POISON
-            self.sender = _POISON
-            self.dest = _POISON
-        if len(_POOL) < _POOL_MAX:
-            _POOL.append(self)
 
     def clone(self):
         """A wire-level duplicate: same fields and ``uid``, private payload.
@@ -198,10 +91,9 @@ class Message:
         delivery can corrupt the other. Cloning does not consume a uid
         from the global counter: wire duplicates keep uid streams dense.
         """
-        # Raw allocation: bypasses both the pool and the uid counter
-        # (Message.__new__ would draw a fresh uid).
+        # Raw allocation: bypasses the uid counter (Message.__new__
+        # would draw a fresh uid).
         dup = object.__new__(Message)
-        dup.gen = 0
         dup.mtype = self.mtype
         dup.addr = self.addr
         dup.sender = self.sender
@@ -214,12 +106,9 @@ class Message:
         dup.value = self.value
         dup.uid = self.uid
         dup.send_tick = self.send_tick
-        dup._pooled = False
         return dup
 
     def __repr__(self):
-        if self._pooled:
-            return f"Message(<released>, gen={self.gen})"
         fields = [
             f"{getattr(self.mtype, 'name', self.mtype)}",
             f"addr={self.addr:#x}" if isinstance(self.addr, int) else f"addr={self.addr}",

@@ -161,7 +161,8 @@ class Network:
         delays = self._endpoint_delay
         if delays:
             latency += delays.get(msg.sender, 0) + delays.get(msg.dest, 0)
-        arrival = now + delay + latency
+        wire = delay + latency
+        arrival = now + wire
         if self.bandwidth is not None:
             slot = max(float(now), self._next_slot)
             self._next_slot = slot + 1.0 / self.bandwidth
@@ -198,17 +199,31 @@ class Network:
                     self.stats.inc("fault.duplicated")
                     if obs is not None:
                         obs.record_fault(now, self.name, "duplicate", msg)
-                    arrival = self._deliver_one(dest, buf, msg, arrival)
+                    arrival = self._deliver(dest, buf, msg, arrival, wire)
                     # Link-layer replay: same uid, own payload copy,
                     # trailing the original by at least one tick.
-                    self._deliver_one(dest, buf, msg.clone(), arrival + 1, note="dup")
+                    self._deliver(dest, buf, msg.clone(), arrival + 1, wire, note="dup")
                     return arrival
-        # ---- delivery, hand-inlined (see _deliver_one for the readable
-        # version; the two must stay behaviorally identical). One message
-        # costs zero extra Python frames beyond schedule_cb from here on.
+        return self._deliver(dest, buf, msg, arrival, wire)
+
+    def _deliver(self, dest, buf, msg, arrival, wire, note=""):
+        """Put ``msg`` in flight to ``buf`` of ``dest``, arriving at ``arrival``.
+
+        The one delivery tail behind every send, original or fault-path
+        replay: lane clamp, counters, trace, buffer insert, wakeup and
+        lineage. ``wire`` is the modeled latency (sender delay + latency
+        model + endpoint delays); lineage books the rest of
+        ``arrival - send_tick`` (bandwidth queueing, injected delay, the
+        lane clamp) as queue_wait. Returns the possibly clamped arrival.
+        """
         # try/except counter bumps lean on 3.11's zero-cost exceptions:
         # the KeyError path runs once per counter name, ever.
         if self.ordered:
+            # One serial lane per (sender, dest) pair across ALL ports:
+            # the paper's ordered accel link must keep a Put ordered ahead
+            # of the InvAck that follows it even though they arrive on
+            # different virtual channels. Strictly increasing arrivals so
+            # the receiver's port priorities cannot reorder same-tick pairs.
             lane = (msg.sender, msg.dest)
             last = self._last_arrival
             try:
@@ -238,8 +253,9 @@ class Network:
                     counters["data_messages"] += 1
                 except KeyError:
                     counters["data_messages"] = 1
+        sim = self.sim
         if sim.trace is not None:
-            sim.record_trace(self.name, msg, note="")
+            sim.record_trace(self.name, msg, note=note)
         # inlined MessageBuffer.enqueue (append fast path; arrivals on a
         # lane are non-decreasing, so out-of-order insort is the rare case)
         seq = buf._seq + 1
@@ -263,55 +279,7 @@ class Network:
             dest._wakeup_token = events.schedule_cb(arrival, dest._wakeup_cb)
         lineage = sim.lineage
         if lineage is not None:
-            # `delay + latency` is the modeled wire time; the walk books
-            # the rest of arrival-send (bandwidth queueing, ordered-lane
-            # clamp) as queue_wait. Records live on the tracker, never on
-            # the pooled msg.
-            lineage.record_send(msg, now, arrival, delay + latency)
-        return arrival
-
-    def _deliver_one(self, dest, buf, msg, arrival, note=""):
-        # Readable reference copy of the delivery tail hand-inlined at the
-        # bottom of send(); only fault paths (duplicate delivery) and
-        # subclasses route through here. Keep the two in sync.
-        if self.ordered:
-            # One serial lane per (sender, dest) pair across ALL ports:
-            # the paper's ordered accel link must keep a Put ordered ahead
-            # of the InvAck that follows it even though they arrive on
-            # different virtual channels. Strictly increasing arrivals so
-            # the receiver's port priorities cannot reorder same-tick pairs.
-            lane = (msg.sender, msg.dest)
-            previous = self._last_arrival.get(lane, 0)
-            if arrival <= previous:
-                arrival = previous + 1
-            self._last_arrival[lane] = arrival
-        counters = self._counters
-        if counters is not None:
-            counters["messages"] = counters.get("messages", 0) + 1
-            mtype = msg.mtype
-            key = self._mtype_keys.get(mtype)
-            if key is None:
-                key = f"msg.{getattr(mtype, 'name', mtype)}"
-                self._mtype_keys[mtype] = key
-            counters[key] = counters.get(key, 0) + 1
-            if msg.data is not None:
-                counters["data_messages"] = counters.get("data_messages", 0) + 1
-        sim = self.sim
-        if sim.trace is not None:
-            sim.record_trace(self.name, msg, note=note)
-        # inlined Component.deliver: the buffer came from the route cache.
-        # Same-tick deliveries coalesce onto one pending wakeup — only a
-        # strictly earlier arrival needs the full request_wakeup path.
-        buf.enqueue(arrival, msg)
-        pending = dest._wakeup_tick
-        if pending is None or pending > arrival:
-            dest.request_wakeup(arrival)
-        lineage = sim.lineage
-        if lineage is not None:
-            # Fault-path deliveries (duplicate replays) have no separate
-            # wire figure; attribute the whole in-flight window to wire.
-            lineage.record_send(msg, msg.send_tick, arrival,
-                                arrival - msg.send_tick)
+            lineage.record_send(msg, msg.send_tick, arrival, wire)
         return arrival
 
     def broadcast(self, msg_factory, dests, port, delay=0):

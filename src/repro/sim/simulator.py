@@ -260,8 +260,15 @@ class Simulator:
         Raises :class:`DeadlockError` if the watchdog is armed and a
         component sits on visible work too long, or — unless
         ``final_check=False`` — if the queue empties while any component
-        still has pending work (nothing can ever consume it).
+        still has pending work (nothing can ever consume it). Raises
+        :class:`ValueError` for a ``max_ticks`` before the current tick:
+        the clock never moves backwards. A limit equal to the current
+        tick is legal and runs only the work due now.
         """
+        if max_ticks is not None and max_ticks < self.tick:
+            raise ValueError(
+                f"max_ticks is in the past ({max_ticks} < {self.tick})"
+            )
         fired = 0
         check_interval = None
         next_check = None
@@ -271,11 +278,11 @@ class Simulator:
         next_monitor = None
         if self.monitors:
             next_monitor = min(m.next_due(self.tick) for m in self.monitors)
-        # Both loops drain the queue bucket-at-a-time over its internals:
-        # one heap consultation per distinct tick, then a straight-line
-        # sweep over that tick's FIFO of slots. Same-tick work scheduled
-        # mid-sweep appends to the live bucket (len() is re-read each
-        # iteration), so insertion order within a tick is preserved.
+        # Drain the queue bucket-at-a-time over its internals: one heap
+        # consultation per distinct tick, then a straight-line sweep over
+        # that tick's FIFO of slots. Same-tick work scheduled mid-sweep
+        # appends to the live bucket (len() is re-read each iteration),
+        # so insertion order within a tick is preserved.
         events = self.events
         heap = events._heap
         buckets = events._buckets
@@ -283,63 +290,12 @@ class Simulator:
         gens = events._gens
         free = events._free
         heappop = heapq.heappop
-        if (max_ticks is None and max_events is None and next_check is None
-                and next_monitor is None):
-            # Unlimited drain with no watchdog/monitors: the per-event
-            # limit checks can never trigger, so run the stripped loop.
-            try:
-                while True:
-                    # peek_tick retires stale tick entries and leading
-                    # tombstones, so a returned tick's bucket is guaranteed
-                    # to open on a live event — the clock never advances
-                    # for cancelled-only work.
-                    t = events.peek_tick()
-                    if t is None:
-                        break
-                    bucket = buckets[t]
-                    self.tick = t
-                    events._draining_tick = t
-                    try:
-                        # bucket[0] is the authoritative head — a callback
-                        # may advance it (peek_tick retiring tombstones
-                        # mid-drain), so re-read it every iteration.
-                        while True:
-                            i = bucket[0]
-                            if i >= len(bucket):
-                                break
-                            slot = bucket[i]
-                            bucket[0] = i + 1
-                            obj = objs[slot]
-                            if obj is None:
-                                events._cancelled -= 1
-                                gens[slot] += 1
-                                free.append(slot)
-                                continue
-                            objs[slot] = None
-                            gens[slot] += 1
-                            free.append(slot)
-                            events._live -= 1
-                            if type(obj) is Event:
-                                obj._queue = None
-                                if not obj.cancelled:
-                                    obj.callback(*obj.args)
-                            else:
-                                obj()
-                            fired += 1
-                    finally:
-                        events._draining_tick = None
-                    del buckets[t]
-                    # a callback may have compacted the heap or scheduled a
-                    # past tick; only pop our entry if it is still on top
-                    if heap and heap[0] == t:
-                        heappop(heap)
-                if final_check:
-                    self._check_deadlock(final=True)
-                return "idle"
-            finally:
-                self._events_fired += fired
         try:
             while True:
+                # peek_tick retires stale tick entries and leading
+                # tombstones, so a returned tick's bucket is guaranteed to
+                # open on a live event — the clock never advances for
+                # cancelled-only work.
                 t = events.peek_tick()
                 if t is None:
                     if final_check:
@@ -361,6 +317,9 @@ class Simulator:
                 self.tick = t
                 events._draining_tick = t
                 try:
+                    # bucket[0] is the authoritative head — a callback may
+                    # advance it (peek_tick retiring tombstones mid-drain),
+                    # so re-read it every iteration.
                     while True:
                         i = bucket[0]
                         if i >= len(bucket):
@@ -400,6 +359,8 @@ class Simulator:
                 finally:
                     events._draining_tick = None
                 del buckets[t]
+                # a callback may have compacted the heap or scheduled a
+                # past tick; only pop our entry if it is still on top
                 if heap and heap[0] == t:
                     heappop(heap)
         finally:

@@ -12,10 +12,10 @@ from repro.memory.datablock import block_align
 class _MsgSnapshot:
     """Immutable view of a message at record time.
 
-    Tracer rings outlive the messages they observe — the live carriers
-    are recycled through the pool once consumed — so entries snapshot
-    the fields queries and formatting need instead of holding the
-    (mutable, reusable) instance.
+    Tracer rings outlive the messages they observe, so entries snapshot
+    the fields queries and formatting need instead of holding the live
+    instance, which would pin its payload and show whatever later
+    handling did to it.
     """
 
     __slots__ = ("mtype", "addr", "sender", "dest", "requestor", "uid", "dirty")

@@ -37,12 +37,16 @@ from repro.xg.interface import XGVariant
 #: Scenario names accepted by :func:`golden_run`.
 SCENARIOS = ("stress", "fuzz", "chaos")
 
-#: The representative (host, org) configs whose digests are committed in
-#: ``tests/golden/digests.json`` (one per host protocol, two orgs).
+#: The (scenario, host, org) configs whose digests are committed in
+#: ``tests/golden/digests.json``: every host protocol, both XG ports that
+#: share code (MESI and MESIF), and a chaos run whose link faults
+#: duplicate and drop messages on the crossing.
 PINNED_CONFIGS = (
     ("stress", HostProtocol.MESI, AccelOrg.XG),
     ("stress", HostProtocol.HAMMER, AccelOrg.XG),
     ("stress", HostProtocol.MESIF, AccelOrg.HOST_SIDE),
+    ("stress", HostProtocol.MESIF, AccelOrg.XG),
+    ("chaos", HostProtocol.MESI, AccelOrg.XG),
 )
 
 
@@ -254,7 +258,7 @@ def equivalence_matrix(scenario="stress", seed=0, ops=400):
 
 
 def pinned_digests(seed=0, ops=400):
-    """Digest dict for the representative configs committed in CI."""
+    """Digest dict for every ``PINNED_CONFIGS`` entry, as committed in CI."""
     pinned = {}
     for scenario, host, org in PINNED_CONFIGS:
         label = f"{scenario}/{host.name.lower()}/{org.name.lower()}"

@@ -1,8 +1,8 @@
 """Crossing Guard host port for the inclusive MESIF protocol.
 
-Nearly the MESI port, plus the F-state policy: the accelerator interface
-cannot express "designated responder" (an F holder must later supply
-data, which a Transactional XG has no storage for), so Crossing Guard
+The MESI port plus the F-state policy: the accelerator interface cannot
+express "designated responder" (an F holder must later supply data,
+which a Transactional XG has no storage for), so Crossing Guard
 
 * maps a ``DataF`` grant to plain ``DataS`` at the accelerator while
   acknowledging the designation (``UnblockF``) toward the host, and
@@ -13,69 +13,26 @@ data, which a Transactional XG has no storage for), so Crossing Guard
 Because MESIF has no PutS, accelerator PutS requests complete locally —
 the same "host does not need them" situation measured for Hammer in
 experiment E8, arising here from protocol shape rather than a register.
+A GetS forwarded to the port (it owns the block) is answered with
+``DataF``, as a MESIF owner downgrading to S hands the requestor F.
 """
 
-from repro.coherence.controller import CONSUMED, ProtocolError
-from repro.memory.datablock import DataBlock
+from repro.coherence.controller import CONSUMED
 from repro.protocols.mesif.messages import MesifMsg
-from repro.xg.base import CrossingGuardBase
-from repro.xg.errors import Guarantee
 from repro.xg.interface import AccelMsg
+from repro.xg.mesi_xg import MesiCrossingGuard
 
 
-_PROBE_NEEDS_DATA = {
-    MesifMsg.Inv: False,
-    MesifMsg.Fwd_GetS: True,
-    MesifMsg.Fwd_GetM: True,
-    MesifMsg.Recall: True,
-}
-
-
-class MesifCrossingGuard(CrossingGuardBase):
+class MesifCrossingGuard(MesiCrossingGuard):
     """Crossing Guard appearing to the host as a MESIF private L1."""
 
     CONTROLLER_TYPE = "xg_mesif"
+    MSG = MesifMsg
+    FWD_GETS_DATA = MesifMsg.DataF
 
     def __init__(self, sim, name, host_net, accel_net, l2_name, **kw):
-        self.l2_name = l2_name
-        super().__init__(sim, name, host_net, accel_net, **kw)
-        # compiled host-response dispatch: one bound handler per message
-        # type, mirroring the controllers' flattened transition tables
-        self._host_response_dispatch = {
-            MesifMsg.DataS: self._resp_data_s,
-            MesifMsg.DataF: self._resp_data_f,
-            MesifMsg.DataE: self._resp_data_e,
-            MesifMsg.DataM: self._resp_data_m,
-            MesifMsg.InvAck: self._resp_inv_ack,
-        }
-
-    def _build_transitions(self):
-        return
-
-    def _to_l2(self, mtype, addr, port="request", **kw):
-        return self.send_to_host(mtype, addr, self.l2_name, port, **kw)
-
-    # -- host messages --------------------------------------------------------------
-
-    def handle_host_message(self, port, msg):
-        addr = self.align(msg.addr)
-        tbe = self.tbes.lookup(addr)
-        if port == "response":
-            return self._host_response(msg, addr, tbe)
-        return self._host_forward(msg, addr, tbe)
-
-    def _host_response(self, msg, addr, tbe):
-        if tbe is None or tbe.meta.get("kind") != "accel_get":
-            raise ProtocolError(self, "xg", msg.mtype, msg, note="response with no get open")
-        handler = self._host_response_dispatch.get(msg.mtype)
-        if handler is None:
-            raise ProtocolError(self, "xg", msg.mtype, msg, note="bad host response")
-        handler(msg, addr, tbe)
-        return CONSUMED
-
-    def _resp_data_s(self, msg, addr, tbe):
-        self._to_l2(MesifMsg.UnblockS, addr, port="response")
-        self.finish_accel_get(addr, "S", msg.data, dirty=False)
+        super().__init__(sim, name, host_net, accel_net, l2_name, **kw)
+        self._host_response_dispatch[MesifMsg.DataF] = self._resp_data_f
 
     def _resp_data_f(self, msg, addr, tbe):
         # Take the designation toward the host, grant only S inward;
@@ -84,157 +41,13 @@ class MesifCrossingGuard(CrossingGuardBase):
         self.finish_accel_get(addr, "S", msg.data, dirty=False)
         self.stats.inc("f_grants_taken_as_s")
 
-    def _resp_data_e(self, msg, addr, tbe):
-        self._to_l2(MesifMsg.UnblockX, addr, port="response")
-        self.finish_accel_get(addr, "E", msg.data, dirty=False)
-
-    def _resp_data_m(self, msg, addr, tbe):
-        tbe.data = msg.data.copy()
-        tbe.dirty = msg.dirty
-        tbe.acks_needed = msg.ack_count
-        tbe.data_received = True
-        if tbe.acks_received >= tbe.acks_needed:
-            self._complete_getm(addr, tbe)
-
-    def _resp_inv_ack(self, msg, addr, tbe):
-        tbe.acks_received += 1
-        if tbe.data_received and tbe.acks_received >= tbe.acks_needed:
-            self._complete_getm(addr, tbe)
-
-    def _complete_getm(self, addr, tbe):
-        self._to_l2(MesifMsg.UnblockX, addr, port="response")
-        grant = "M" if tbe.meta["accel_req"] is AccelMsg.GetM else (
-            "M" if tbe.dirty else "E"
-        )
-        self.finish_accel_get(addr, grant, tbe.data, dirty=tbe.dirty)
-
     def _host_forward(self, msg, addr, tbe):
-        mtype = msg.mtype
-        if mtype in (MesifMsg.WBAck, MesifMsg.WBNack):
-            if tbe is None or tbe.meta.get("kind") != "accel_put":
-                raise ProtocolError(self, "xg", mtype, msg, note="WB ack with no put open")
-            self.finish_accel_put(addr)
-            return CONSUMED
-        if mtype is MesifMsg.Fwd_GetS_F:
+        if msg.mtype is MesifMsg.Fwd_GetS_F:
             # Decline the responder role; the L2 serves from its copy.
             self._to_l2(MesifMsg.FNack, addr, port="response")
             self.stats.inc("f_roles_declined")
             return CONSUMED
-        if tbe is not None and tbe.meta.get("kind") == "accel_put":
-            return self._put_race_forward(msg, addr, tbe)
-        if tbe is not None and tbe.meta.get("kind") == "accel_get":
-            if mtype is MesifMsg.Inv:
-                self.send_to_host(MesifMsg.InvAck, addr, msg.requestor, "response")
-                self.stats.inc("upgrade_inv_races")
-                return CONSUMED
-            self.report(
-                Guarantee.G2A_STABLE_RESPONSE,
-                addr,
-                f"{mtype.name} during an open accelerator request; zero data supplied",
-            )
-            self._answer_with_data(msg, addr, DataBlock(self.block_size), dirty=True)
-            return CONSUMED
-        if tbe is not None:
-            if tbe.meta.get("race_resolved"):
-                self._answer_as_nonholder(msg, addr)
-                return CONSUMED
-            raise ProtocolError(
-                self, tbe.meta.get("kind"), mtype, msg, note="probe during open transaction"
-            )
-        return self._stable_forward(msg, addr)
-
-    def _put_race_forward(self, msg, addr, tbe):
-        mtype = msg.mtype
-        data = tbe.data if tbe.data is not None else DataBlock(self.block_size)
-        if mtype is MesifMsg.Inv:
-            self.send_to_host(MesifMsg.InvAck, addr, msg.requestor, "response")
-        elif mtype is MesifMsg.Fwd_GetS:
-            self.send_to_host(MesifMsg.DataF, addr, msg.requestor, "response", data=data.copy())
-            self._to_l2(
-                MesifMsg.CopyBack, addr, port="response", data=data.copy(), dirty=tbe.dirty
-            )
-        elif mtype is MesifMsg.Fwd_GetM:
-            self.send_to_host(
-                MesifMsg.DataM, addr, msg.requestor, "response",
-                data=data.copy(), dirty=tbe.dirty, ack_count=0,
-            )
-        elif mtype is MesifMsg.Recall:
-            self._to_l2(
-                MesifMsg.CopyBackInv, addr, port="response", data=data.copy(), dirty=tbe.dirty
-            )
-        else:
-            raise ProtocolError(self, "accel_put", mtype, msg, note="bad forward")
-        self.stats.inc("put_forward_races")
-        return CONSUMED
-
-    def _stable_forward(self, msg, addr):
-        mtype = msg.mtype
-        needs_data = _PROBE_NEEDS_DATA[mtype]
-        entry = self.mirror_entry(addr)
-        if self.is_full_state:
-            if entry is None:
-                self._answer_as_nonholder(msg, addr)
-                self.stats.inc("probes_answered_locally")
-                return CONSUMED
-            if entry.retained_data is not None and mtype is MesifMsg.Fwd_GetS:
-                self.send_to_host(
-                    MesifMsg.DataF, addr, msg.requestor, "response",
-                    data=entry.retained_data.copy(),
-                )
-                self._to_l2(
-                    MesifMsg.CopyBack, addr, port="response",
-                    data=entry.retained_data.copy(), dirty=entry.retained_dirty,
-                )
-                entry.retained_dirty = False
-                self.stats.inc("probes_answered_locally")
-                return CONSUMED
-            if entry.accel_state == "I" and entry.retained_data is not None:
-                self._answer_with_data(msg, addr, entry.retained_data, entry.retained_dirty)
-                self.mirror_remove(addr)
-                self.stats.inc("probes_answered_locally")
-                return CONSUMED
-        else:
-            if not self.permissions.allows_read(addr):
-                self._answer_as_nonholder(msg, addr)
-                self.stats.inc("probes_answered_locally")
-                return CONSUMED
-        context = {"mtype": mtype, "requestor": msg.requestor}
-        self.start_probe(addr, needs_data, context)
-        return CONSUMED
-
-    def _answer_as_nonholder(self, msg, addr):
-        if msg.mtype is MesifMsg.Inv:
-            self.send_to_host(MesifMsg.InvAck, addr, msg.requestor, "response")
-            return
-        self.stats.inc("zero_data_fabrications")
-        self._answer_with_data(msg, addr, DataBlock(self.block_size), dirty=True)
-
-    def _answer_with_data(self, msg, addr, data, dirty):
-        if msg.mtype is MesifMsg.Fwd_GetS:
-            self.send_to_host(MesifMsg.DataF, addr, msg.requestor, "response", data=data.copy())
-            self._to_l2(MesifMsg.CopyBack, addr, port="response", data=data.copy(), dirty=dirty)
-        elif msg.mtype is MesifMsg.Fwd_GetM:
-            self.send_to_host(
-                MesifMsg.DataM, addr, msg.requestor, "response", data=data.copy(),
-                dirty=dirty, ack_count=0,
-            )
-        elif msg.mtype is MesifMsg.Recall:
-            self._to_l2(
-                MesifMsg.CopyBackInv, addr, port="response", data=data.copy(), dirty=dirty
-            )
-        else:
-            self.send_to_host(MesifMsg.InvAck, addr, msg.requestor, "response")
-
-    # -- base hooks -------------------------------------------------------------------------
-
-    def host_issue_get(self, addr, want_m, gets_only, tbe):
-        if want_m:
-            tbe.acks_needed = None
-            self._to_l2(MesifMsg.GetM, addr)
-        elif gets_only:
-            self._to_l2(MesifMsg.GetS_Only, addr)
-        else:
-            self._to_l2(MesifMsg.GetS, addr)
+        return super()._host_forward(msg, addr, tbe)
 
     def host_issue_put(self, addr, put_type, tbe):
         if put_type is AccelMsg.PutS:
@@ -243,39 +56,4 @@ class MesifCrossingGuard(CrossingGuardBase):
             self.stats.inc("puts_absorbed_no_host_message")
             self.finish_accel_put(addr)
             return
-        if put_type is AccelMsg.PutE:
-            self._to_l2(MesifMsg.PutE, addr, data=tbe.data.copy(), dirty=False)
-        else:
-            self._to_l2(MesifMsg.PutM, addr, data=tbe.data.copy(), dirty=True)
-
-    def host_answer_probe(self, addr, tbe, got_wb, data, dirty):
-        context = tbe.meta["context"]
-        mtype = context["mtype"]
-        requestor = context["requestor"]
-        if mtype is MesifMsg.Inv:
-            if got_wb:
-                self._to_l2(
-                    MesifMsg.CopyBack, addr, port="response", data=data.copy(), dirty=dirty
-                )
-            else:
-                self.send_to_host(MesifMsg.InvAck, addr, requestor, "response")
-            return
-        payload = data if data is not None else DataBlock(self.block_size)
-        if mtype is MesifMsg.Fwd_GetS:
-            self.send_to_host(
-                MesifMsg.DataF, addr, requestor, "response", data=payload.copy()
-            )
-            self._to_l2(
-                MesifMsg.CopyBack, addr, port="response", data=payload.copy(), dirty=dirty
-            )
-        elif mtype is MesifMsg.Fwd_GetM:
-            self.send_to_host(
-                MesifMsg.DataM, addr, requestor, "response", data=payload.copy(),
-                dirty=dirty, ack_count=0,
-            )
-        elif mtype is MesifMsg.Recall:
-            self._to_l2(
-                MesifMsg.CopyBackInv, addr, port="response", data=payload.copy(), dirty=dirty
-            )
-        else:
-            raise AssertionError(f"unknown probe context {mtype}")
+        super().host_issue_put(addr, put_type, tbe)

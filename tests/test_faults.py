@@ -9,6 +9,7 @@ injection is counted).
 import pytest
 
 from repro.memory.datablock import DataBlock
+from repro.obs.lineage import LineageTracker
 from repro.sim.faults import (
     CORRUPT,
     DELAY,
@@ -144,12 +145,23 @@ def test_network_drop_never_delivered():
 
 def test_network_duplicate_delivers_twice_same_uid():
     sim, net, src, dst = _net_pair(single_link_plan({DUPLICATE: 1.0}))
-    sent = src.send(AccelMsg.GetS, ADDR, "dst", "accel_request")
+    sim.lineage = LineageTracker()
+    first = src.send(AccelMsg.GetS, ADDR, "dst", "accel_request")
+    second = src.send(AccelMsg.GetM, ADDR, "dst", "accel_request")
     sim.run()
-    assert len(dst.received) == 2
+    # Originals and replays share one delivery tail: the ordered lane
+    # clamps all four onto consecutive ticks, each counted and traced.
+    assert [tick for tick, _p, _m in dst.received] == [3, 4, 5, 6]
     uids = [msg.uid for _t, _p, msg in dst.received]
-    assert uids == [sent.uid, sent.uid]
-    assert net.stats.get("fault.duplicated") == 1
+    assert uids == [first.uid, first.uid, second.uid, second.uid]
+    assert [entry[-1] for entry in sim.trace] == ["", "dup", "", "dup"]
+    assert net.stats.get("messages") == 4
+    assert net.stats.get("fault.duplicated") == 2
+    # Lineage books the modeled latency as wire for every delivery; the
+    # replay's trailing tick and the lane clamp are queueing.
+    records = list(sim.lineage.records.values())
+    assert [rec.arrival for rec in records] == [3, 4, 5, 6]
+    assert [rec.wire for rec in records] == [3, 3, 3, 3]
 
 
 def test_network_delay_pushes_arrival_out():

@@ -6,8 +6,10 @@ Two layers of protection for the compiled dispatch fast path:
    memory image, stats) must be identical under ``compiled`` and
    ``legacy`` dispatch, across all hosts x accelerator organizations.
    This is the tentpole's proof obligation.
-2. **Pinned digests** — seed-run digests for three representative
-   configs are committed in ``tests/golden/digests.json``. Any change
+2. **Pinned digests** — seed-run digests for the configs in
+   ``PINNED_CONFIGS`` are committed in ``tests/golden/digests.json``: a
+   stress run per host protocol, the MESIF XG port, and a chaos run with
+   duplicated and dropped crossing messages. Any change
    that perturbs a transition sequence fails here until the digests are
    deliberately refreshed (``python -m repro golden --update``) and the
    behavior change is explained in the PR.

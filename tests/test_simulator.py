@@ -48,6 +48,24 @@ def test_max_ticks_stops_clock():
     assert fired == [1, 2]
 
 
+def test_max_ticks_in_the_past_rejected():
+    """The clock never moves backwards: a limit before now is an error."""
+    sim = Simulator()
+    fired = []
+    sim.schedule(100, fired.append, 100)
+    assert sim.run(max_ticks=50) == "max_ticks"
+    assert sim.tick == 50
+    with pytest.raises(ValueError):
+        sim.run(max_ticks=20)
+    assert sim.tick == 50
+    # A limit equal to now is legal: it runs only the work due now.
+    sim.schedule(0, fired.append, 50)
+    assert sim.run(max_ticks=50) == "max_ticks"
+    assert (sim.tick, fired) == (50, [50])
+    assert sim.run() == "idle"
+    assert (sim.tick, fired) == (100, [50, 100])
+
+
 def test_max_events_limit():
     sim = Simulator()
     for i in range(10):
