@@ -69,44 +69,6 @@ def _campaign_fabric(stack, args):
     return fabric
 
 
-def _single_run_fabric(stack, args, label):
-    """Bring up the fabric for a single-run command when ``--live`` is set.
-
-    fuzz/chaos run one simulation in-process rather than a campaign, so
-    the fabric is framed as a one-job session: collector + in-process
-    emitter + progress hook, torn down when ``stack`` unwinds. Returns
-    the in-process emitter (whose flight recorder ``--forensics-all``
-    snapshots), or None when neither flag asked for a fabric.
-    """
-    if not (getattr(args, "live", False)
-            or getattr(args, "forensics_all", False)):
-        return None
-    from repro.obs.fabric import inproc_session
-
-    fabric = _campaign_fabric(stack, args)
-    return stack.enter_context(inproc_session(fabric, label=label))
-
-
-def _grab_single_run_forensics(emitter, args):
-    """Snapshot the in-process black box before the fabric tears down."""
-    if emitter is None or not getattr(args, "forensics_all", False):
-        return None
-    return emitter.failure_forensics()["flight_recorder"]
-
-
-def _print_single_run_forensics(snap):
-    """``--forensics-all`` tail for fuzz/chaos: summarize the black box."""
-    if snap is None:
-        return
-    print(f"\nforensics (kept for successful run): "
-          f"{snap['frames_seen']} frames recorded, "
-          f"final tick {snap.get('tick', '-')}")
-    path = (snap.get("critical_path") or {}).get("path")
-    if path:
-        rendered = " -> ".join(f"{bucket}:{ticks}" for bucket, ticks in path)
-        print(f"  oldest open span critical path: {rendered}")
-
-
 def _cmd_demo(args):
     from repro.host.config import AccelOrg, HostProtocol, SystemConfig
     from repro.host.system import build_system
@@ -335,76 +297,83 @@ def _cmd_golden(args):
     return 0
 
 
-def _cmd_fuzz(args):
+def _add_scenario_args(cmd, preset, duration, cpu_ops, faults=None, rate=None):
+    """Scenario knobs shared by ``fuzz``, ``chaos`` and ``trace``.
+
+    ``preset`` is the command's :class:`~repro.testing.scenario.Scenario`
+    starting point. ``faults`` (a default comma list of kinds) and ``rate``
+    add the link-fault arguments; without them the wire is perfect.
+    """
+    from repro.testing.scenario import ALL_HOSTS, ALL_VARIANTS, FIXED_ADVERSARIES
+
+    cmd.add_argument("--host", default="mesi", choices=[h.name.lower() for h in ALL_HOSTS])
+    cmd.add_argument("--variant", default="full_state",
+                     choices=[v.name.lower() for v in ALL_VARIANTS])
+    cmd.add_argument("--adversary", default=preset.adversary, choices=FIXED_ADVERSARIES)
+    cmd.add_argument("--seed", type=int, default=0)
+    cmd.add_argument("--duration", type=int, default=duration)
+    cmd.add_argument("--cpu-ops", dest="cpu_ops", type=int, default=cpu_ops)
+    if faults is not None:
+        cmd.add_argument("--faults", default=faults,
+                         help="comma list of fault kinds on the accel link "
+                              "(empty for a clean run)")
+        cmd.add_argument("--rate", type=float, default=rate,
+                         help="per-message injection rate per fault kind")
+        cmd.add_argument("--blackhole", default=None, metavar="START:END",
+                         help="drop everything on the accel link during [START, END)")
+    cmd.set_defaults(preset=preset)
+
+
+def _scenario_from_args(args, **changes):
+    """The scenario a ``fuzz``/``chaos``/``trace`` command line asks for.
+
+    Every parsed argument named like a Scenario field is taken as is;
+    ``--faults``/``--rate``/``--blackhole`` become the fault rates and
+    window. Raises ValueError on a malformed fault list, rate or window.
+    """
+    import dataclasses
+
     from repro.host.config import HostProtocol
-    from repro.testing.fuzzer import run_fuzz_campaign
+    from repro.sim.faults import FaultWindow
+    from repro.testing.scenario import Scenario
     from repro.xg.interface import XGVariant
 
-    with ExitStack() as stack:
-        emitter = _single_run_fabric(
-            stack, args,
-            label=f"fuzz/{args.host}/{args.variant}/{args.adversary}",
-        )
-        result, _system = run_fuzz_campaign(
-            HostProtocol[args.host.upper()],
-            XGVariant[args.variant.upper()],
-            adversary=args.adversary,
-            seed=args.seed,
-            duration=args.duration,
-            cpu_ops=args.cpu_ops,
-        )
-        forensic_snap = _grab_single_run_forensics(emitter, args)
-    report = result.as_dict()
-    for key in (
-        "host_safe", "adversary_messages", "violations_total",
-        "cpu_loads_checked", "final_tick",
-    ):
-        print(f"{key}: {report[key]}")
-    for guarantee, count in sorted(report["violations"].items()):
-        print(f"  {guarantee}: {count}")
-    if len(_system.error_log):
-        print()
-        print(format_error_log(_system.error_log, limit=args.show_errors))
-    _print_single_run_forensics(forensic_snap)
-    return 0 if report["host_safe"] else 1
-
-
-def _cmd_chaos(args):
-    from repro.host.config import HostProtocol
-    from repro.sim.faults import FaultWindow, single_link_plan
-    from repro.testing.chaos import run_chaos_campaign
-    from repro.xg.interface import XGVariant
-
-    rates = {kind: args.rate for kind in args.faults.split(",") if kind}
-    windows = []
-    try:
+    names = {f.name for f in dataclasses.fields(Scenario)} - {"host", "variant", "faults"}
+    changes.update({name: value for name, value in vars(args).items() if name in names})
+    if "faults" in vars(args):
+        changes["faults"] = {kind: args.rate for kind in args.faults.split(",") if kind}
         if args.blackhole:
             start, _, end = args.blackhole.partition(":")
-            windows.append(FaultWindow(int(start), int(end), "drop", 1.0))
-        single_link_plan(rates, windows=windows)  # validate kinds/rates early
+            changes["windows"] = (FaultWindow(int(start), int(end), "drop", 1.0),)
+    return args.preset.replace(host=HostProtocol[args.host.upper()],
+                               variant=XGVariant[args.variant.upper()], **changes)
+
+
+def _cmd_campaign(args):
+    """``fuzz`` and ``chaos``: one in-process scenario run, key by key.
+
+    With ``--live`` or ``--forensics-all`` the run is framed as a one-job
+    fabric session (collector, in-process emitter, progress hook), and
+    ``--forensics-all`` snapshots its black box before the fabric closes.
+    """
+    from repro.testing.scenario import run_scenario
+
+    try:
+        scenario = _scenario_from_args(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    snap = None
     with ExitStack() as stack:
-        emitter = _single_run_fabric(
-            stack, args,
-            label=f"chaos/{args.host}/{args.variant}/{args.adversary}",
-        )
-        result, system = run_chaos_campaign(
-            HostProtocol[args.host.upper()],
-            XGVariant[args.variant.upper()],
-            faults=rates,
-            windows=windows,
-            adversary=args.adversary,
-            seed=args.seed,
-            fault_seed=args.fault_seed,
-            duration=args.duration,
-            cpu_ops=args.cpu_ops,
-            accel_timeout=args.accel_timeout,
-            probe_retries=args.probe_retries,
-            disable_after=args.disable_after,
-        )
-        forensic_snap = _grab_single_run_forensics(emitter, args)
+        if args.live or args.forensics_all:
+            from repro.obs.fabric import inproc_session
+
+            label = f"{args.command}/{args.host}/{args.variant}/{args.adversary}"
+            emitter = stack.enter_context(
+                inproc_session(_campaign_fabric(stack, args), label=label))
+        result, system = run_scenario(scenario)
+        if args.forensics_all:
+            snap = emitter.failure_forensics()["flight_recorder"]
     report = result.as_dict()
     for key in (
         "host_safe", "final_tick", "cpu_loads_checked", "adversary_messages",
@@ -420,10 +389,18 @@ def _cmd_chaos(args):
     if len(system.error_log):
         print()
         print(format_error_log(system.error_log, limit=args.show_errors))
-    if not report["host_safe"] and report["diagnosis"]:
-        print()
-        print(report["diagnosis"])
-    _print_single_run_forensics(forensic_snap)
+    if not report["host_safe"]:
+        print(f"\nhost unsafe: {report['crash_detail']}", file=sys.stderr)
+        if report["diagnosis"]:
+            print(report["diagnosis"], file=sys.stderr)
+    if snap is not None:
+        print(f"\nforensics (kept for successful run): "
+              f"{snap['frames_seen']} frames recorded, "
+              f"final tick {snap.get('tick', '-')}")
+        path = (snap.get("critical_path") or {}).get("path")
+        if path:
+            rendered = " -> ".join(f"{bucket}:{ticks}" for bucket, ticks in path)
+            print(f"  oldest open span critical path: {rendered}")
     return 0 if report["host_safe"] else 1
 
 
@@ -503,34 +480,15 @@ def _cmd_rogue(args):
 
 
 def _cmd_trace(args):
-    from repro.host.config import HostProtocol
     from repro.obs import build_trace, write_trace
-    from repro.sim.faults import FaultWindow, single_link_plan
-    from repro.testing.chaos import run_chaos_campaign
-    from repro.xg.interface import XGVariant
+    from repro.testing.scenario import run_scenario
 
-    rates = {kind: args.rate for kind in args.faults.split(",") if kind}
-    windows = []
     try:
-        if args.blackhole:
-            start, _, end = args.blackhole.partition(":")
-            windows.append(FaultWindow(int(start), int(end), "drop", 1.0))
-        single_link_plan(rates, windows=windows)  # validate kinds/rates early
+        scenario = _scenario_from_args(args, telemetry=True)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    result, system = run_chaos_campaign(
-        HostProtocol[args.host.upper()],
-        XGVariant[args.variant.upper()],
-        faults=rates,
-        windows=windows,
-        adversary=args.adversary,
-        seed=args.seed,
-        duration=args.duration,
-        cpu_ops=args.cpu_ops,
-        telemetry=True,
-        series_interval=args.series_interval,
-    )
+    result, system = run_scenario(scenario)
     obs = system.sim.obs
     payload = build_trace(
         obs, fault_plan=system.config.fault_plan, label=system.config.label
@@ -870,6 +828,8 @@ def _cmd_experiment(args):
 
 
 def build_parser():
+    from repro.testing.scenario import CHAOS, FUZZ
+
     parser = argparse.ArgumentParser(
         prog="repro", description="Crossing Guard reproduction toolkit"
     )
@@ -939,46 +899,29 @@ def build_parser():
     golden.set_defaults(fn=_cmd_golden)
 
     fuzz = sub.add_parser("fuzz", help="byzantine accelerator safety campaign")
-    fuzz.add_argument("--host", default="mesi", choices=["mesi", "hammer", "mesif"])
-    fuzz.add_argument("--variant", default="full_state",
-                      choices=["full_state", "transactional"])
-    fuzz.add_argument("--adversary", default="fuzz",
-                      choices=["fuzz", "deaf", "wrong", "flood"])
-    fuzz.add_argument("--seed", type=int, default=0)
-    fuzz.add_argument("--duration", type=int, default=40_000)
-    fuzz.add_argument("--cpu-ops", dest="cpu_ops", type=int, default=1000)
+    _add_scenario_args(fuzz, FUZZ, duration=40_000, cpu_ops=1000)
     fuzz.add_argument("--show-errors", dest="show_errors", type=int, default=10,
                       help="OS error-log records to print")
     _add_live_args(fuzz)
-    fuzz.set_defaults(fn=_cmd_fuzz)
+    fuzz.set_defaults(fn=_cmd_campaign)
 
     chaos = sub.add_parser(
         "chaos", help="fault-injected interconnect safety campaign"
     )
-    chaos.add_argument("--host", default="mesi", choices=["mesi", "hammer", "mesif"])
-    chaos.add_argument("--variant", default="full_state",
-                       choices=["full_state", "transactional"])
-    chaos.add_argument("--faults", default="drop,duplicate,delay,corrupt",
-                       help="comma list of fault kinds on the accel link")
-    chaos.add_argument("--rate", type=float, default=0.15,
-                       help="per-message injection rate per fault kind")
-    chaos.add_argument("--blackhole", default=None, metavar="START:END",
-                       help="drop everything on the accel link during [START, END)")
-    chaos.add_argument("--adversary", default="flood",
-                       choices=["fuzz", "deaf", "wrong", "flood"])
-    chaos.add_argument("--seed", type=int, default=0)
+    _add_scenario_args(chaos, CHAOS, duration=60_000, cpu_ops=1200,
+                       faults="drop,duplicate,delay,corrupt", rate=0.15)
     chaos.add_argument("--fault-seed", dest="fault_seed", type=int, default=None,
                        help="fault plan RNG seed (defaults to --seed)")
-    chaos.add_argument("--duration", type=int, default=60_000)
-    chaos.add_argument("--cpu-ops", dest="cpu_ops", type=int, default=1200)
-    chaos.add_argument("--accel-timeout", dest="accel_timeout", type=int, default=2500)
-    chaos.add_argument("--probe-retries", dest="probe_retries", type=int, default=2)
+    chaos.add_argument("--accel-timeout", dest="accel_timeout", type=int,
+                       default=CHAOS.accel_timeout)
+    chaos.add_argument("--probe-retries", dest="probe_retries", type=int,
+                       default=CHAOS.probe_retries)
     chaos.add_argument("--disable-after", dest="disable_after", type=int, default=None,
                        help="quarantine the accelerator after N violations")
     chaos.add_argument("--show-errors", dest="show_errors", type=int, default=10,
                        help="OS error-log records to print")
     _add_live_args(chaos)
-    chaos.set_defaults(fn=_cmd_chaos)
+    chaos.set_defaults(fn=_cmd_campaign)
 
     rogue = sub.add_parser(
         "rogue", help="Byzantine-accelerator containment sweep"
@@ -1005,20 +948,8 @@ def build_parser():
     trace = sub.add_parser(
         "trace", help="traced chaos run exported as Chrome/Perfetto JSON"
     )
-    trace.add_argument("--host", default="mesi", choices=["mesi", "hammer", "mesif"])
-    trace.add_argument("--variant", default="full_state",
-                       choices=["full_state", "transactional"])
-    trace.add_argument("--faults", default="drop,duplicate",
-                       help="comma-separated fault kinds (empty for a clean run)")
-    trace.add_argument("--rate", type=float, default=0.1,
-                       help="per-message probability for each fault kind")
-    trace.add_argument("--blackhole", default=None, metavar="START:END",
-                       help="drop everything on the accel link in [START, END)")
-    trace.add_argument("--adversary", default="flood",
-                       choices=["flood", "fuzz", "protocol", "replay"])
-    trace.add_argument("--seed", type=int, default=0)
-    trace.add_argument("--duration", type=int, default=30_000)
-    trace.add_argument("--cpu-ops", dest="cpu_ops", type=int, default=600)
+    _add_scenario_args(trace, CHAOS, duration=30_000, cpu_ops=600,
+                       faults="drop,duplicate", rate=0.1)
     trace.add_argument("--series-interval", dest="series_interval", type=int,
                        default=1000, help="counter sampling period in ticks "
                        "(0 disables the time series)")

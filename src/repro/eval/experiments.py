@@ -13,8 +13,9 @@ from repro.protocols.mesi.l1 import MesiL1
 from repro.protocols.mesi.messages import MesiMsg
 from repro.sim.network import Network, RandomLatency
 from repro.sim.simulator import DeadlockError, Simulator
-from repro.testing.fuzzer import FuzzResult, run_fuzz_campaign
 from repro.testing.random_tester import RandomTester
+from repro.testing.scenario import (
+    ALL_HOSTS, ALL_VARIANTS, FIXED_ADVERSARIES, FUZZ, run_matrix)
 from repro.xg.interface import AccelMsg, XGVariant
 
 
@@ -419,58 +420,24 @@ def run_stress_coverage(seeds=range(4), ops_per_run=2000, num_blocks=5, workers=
 
 # -- E4: fuzz safety matrix ---------------------------------------------------------------------------
 
-def _run_fuzz_job(host, variant, adversary, seed, duration, cpu_ops, protect):
-    """One fuzz campaign, worker-side; returns its (picklable) result row."""
-    result, _system = run_fuzz_campaign(
-        host,
-        variant,
-        adversary=adversary,
-        seed=seed,
-        duration=duration,
-        cpu_ops=cpu_ops,
-        protect_cpu_pages=protect,
-    )
-    data = result.as_dict()
-    data.update(host=host.name, variant=variant.name, adversary=adversary, seed=seed)
-    return data
-
-
 def run_fuzz_matrix(seeds=range(3), duration=50_000, cpu_ops=1000, workers=1):
     """E4: byzantine accelerators against every host x XG variant.
 
     The paper's claim: "this fuzz testing never leads to a crash or
     deadlock" — every row must have host_safe=True, and campaigns that
-    inject violations must show them reported to the OS. ``workers``
-    fans the campaigns out over a process pool (submission-order merge:
-    output is identical for any worker count).
+    inject violations must show them reported to the OS. The ``fuzz``
+    adversary also aims at CPU pages it has no permission on; the others
+    keep to their own pages. ``workers`` fans the campaigns out over a
+    process pool (submission-order merge: output is identical for any
+    worker count).
     """
-    campaign_jobs = []
-    for host in (HostProtocol.MESI, HostProtocol.HAMMER, HostProtocol.MESIF):
-        for variant in (XGVariant.FULL_STATE, XGVariant.TRANSACTIONAL):
-            for adversary in ("fuzz", "deaf", "wrong", "flood"):
-                for seed in seeds:
-                    protect = adversary in ("fuzz",)
-                    campaign_jobs.append(
-                        CampaignJob(
-                            runner=_run_fuzz_job,
-                            args=(host, variant, adversary, seed, duration,
-                                  cpu_ops, protect),
-                            kwargs={},
-                            label=f"{host.name}/{variant.name}/{adversary}/seed{seed}",
-                        )
-                    )
-    rows = []
-    for outcome in run_campaign(campaign_jobs, workers=workers):
-        if outcome.ok:
-            rows.append(outcome.value)
-            continue
-        host_name, variant_name, adversary, seed_label = outcome.label.split("/")
-        template = FuzzResult().as_dict()
-        template.update(
-            host=host_name,
-            variant=variant_name,
-            adversary=adversary,
-            seed=int(seed_label[4:]) if seed_label[4:].isdigit() else None,
-        )
-        rows.append(merge_failure_into(template, outcome))
-    return rows
+    cells = [
+        (FUZZ.replace(host=host, variant=variant, adversary=adversary, seed=seed,
+                      duration=duration, cpu_ops=cpu_ops,
+                      pages="probe" if adversary == "fuzz" else "private"), {})
+        for host in ALL_HOSTS
+        for variant in ALL_VARIANTS
+        for adversary in FIXED_ADVERSARIES
+        for seed in seeds
+    ]
+    return run_matrix(cells, workers=workers)

@@ -49,8 +49,9 @@ def format_error_log(log, limit=15):
 
 
 #: Containment outcomes worst-first; a matrix cell shows the worst
-#: outcome across its seeds. Mirrors repro.testing.rogue (kept literal
-#: here so the formatter stays import-free).
+#: outcome across its seeds. Mirrors repro.testing.scenario's
+#: CONTAINMENT_OUTCOMES (kept literal here so the formatter stays
+#: import-free).
 _CONTAINMENT_ORDER = ("escaped", "quarantined", "throttled", "timed_out", "absorbed")
 
 

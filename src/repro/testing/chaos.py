@@ -1,307 +1,63 @@
 """Chaos campaigns: an unreliable interconnect against a hardened XG.
 
-The fuzz harness (:mod:`repro.testing.fuzzer`) replaces the accelerator
-with an adversary but assumes the wires are perfect. This harness keeps
-the accelerator-side traffic source and additionally injects *link*
-faults — drops, link-layer replay duplicates, congestion delay spikes,
-payload corruption — on the XG<->accelerator crossing via a seeded
-:class:`~repro.sim.faults.FaultPlan`.
-
-The claims a chaos campaign asserts are the paper's safety claims under
-a strictly harsher fault model:
-
-* the host never crashes and never deadlocks, no matter what the link
-  loses, replays, reorders-in-time, or corrupts;
-* CPU traffic keeps completing and every CPU load remains data-checked;
-* every fault XG could not silently recover (retry, dedupe, absorb) is
-  surfaced to the OS in the error log;
-* when something *does* wedge, the failure report carries
-  :meth:`DeadlockError.diagnose` forensics instead of a bare exception.
+The :data:`~repro.testing.scenario.CHAOS` preset keeps an
+accelerator-side traffic source and injects *link* faults — drops,
+link-layer replay duplicates, delay spikes, payload corruption — on the
+XG<->accelerator crossing via a seeded
+:class:`~repro.sim.faults.FaultPlan`. The host must never crash or
+deadlock, CPU loads stay data-checked, every fault XG could not recover
+silently reaches the OS error log, and a wedge reports
+:meth:`DeadlockError.diagnose` forensics. The default ``flood``
+adversary sends only interface-legal traffic, so every OS-visible
+violation in a flood campaign comes from an injected link fault.
 """
 
-from repro.eval.campaign import CampaignJob, merge_failure_into, run_campaign
-from repro.host.config import AccelOrg, HostProtocol, SystemConfig
-from repro.host.system import build_system
-from repro.obs import Telemetry
-from repro.sim.faults import FAULT_KINDS, FaultPlan, single_link_plan
-from repro.sim.simulator import DeadlockError
-from repro.testing.fuzzer import FuzzResult
-from repro.testing.random_tester import RandomTester
-from repro.xg.interface import XGVariant
-from repro.xg.permissions import PagePermission
+from repro.testing.scenario import ALL_HOSTS, ALL_VARIANTS, CHAOS, run_matrix, run_scenario
 
 
-class ChaosResult(FuzzResult):
-    """One chaos campaign's outcome: safety + fault/recovery accounting."""
+def run_chaos_campaign(host, xg_variant, faults=None, **changes):
+    """Run one chaos campaign; returns (:class:`~repro.testing.scenario.ScenarioResult`, system).
 
-    def __init__(self):
-        super().__init__()
-        self.cpu_loads_value_checked = 0
-        self.faults_injected = {}
-        self.faults_total = 0
-        self.probe_retries = 0
-        self.duplicates_sunk = 0
-        self.retry_echoes_absorbed = 0
-        self.quarantine_surrogates = 0
-        self.requests_dropped_disabled = 0
-        self.accel_disabled = False
-        self.spans_closed = 0
-        self.spans_orphaned = 0
-
-    def as_dict(self):
-        data = super().as_dict()
-        data.update(
-            cpu_loads_value_checked=self.cpu_loads_value_checked,
-            faults_injected=dict(self.faults_injected),
-            faults_total=self.faults_total,
-            probe_retries=self.probe_retries,
-            duplicates_sunk=self.duplicates_sunk,
-            retry_echoes_absorbed=self.retry_echoes_absorbed,
-            quarantine_surrogates=self.quarantine_surrogates,
-            requests_dropped_disabled=self.requests_dropped_disabled,
-            accel_disabled=self.accel_disabled,
-            spans_closed=self.spans_closed,
-            spans_orphaned=self.spans_orphaned,
-        )
-        return data
-
-
-def _as_plan(faults, fault_seed, windows=()):
-    if faults is None:
-        faults = {}
-    if isinstance(faults, FaultPlan):
-        return faults
-    return single_link_plan(dict(faults), seed=fault_seed, link="accel", windows=windows)
-
-
-def run_chaos_campaign(
-    host,
-    xg_variant,
-    faults=None,
-    windows=(),
-    adversary="flood",
-    seed=0,
-    fault_seed=None,
-    duration=60_000,
-    cpu_ops=1200,
-    adversary_kwargs=None,
-    accel_timeout=2500,
-    probe_retries=2,
-    disable_after=None,
-    n_cpus=2,
-    rate_limit=None,
-    contested_blocks=2,
-    telemetry=False,
-    lineage=False,
-    series_interval=0,
-):
-    """Run one chaos campaign; returns (:class:`ChaosResult`, system).
-
-    ``faults`` is a :class:`FaultPlan` or a ``{kind: rate}`` dict (kinds
-    from :data:`FAULT_KINDS`) applied to the ordered XG<->accelerator
-    link; ``windows`` adds scheduled :class:`FaultWindow` intervals (e.g.
-    a blackhole). The host interconnect stays reliable — host protocols
-    assume a lossless fabric; the crossing is the threat model
-    (Section 2.1). ``adversary`` picks the accelerator-side traffic
-    source (same four as the fuzzer); the default ``flood`` emits only
-    interface-legal traffic, so every OS-visible violation in a flood
-    campaign is attributable to injected link faults.
-
-    ``contested_blocks`` blocks are hammered by *both* the CPUs and the
-    accelerator. They are what forces host-initiated probes (Invalidate /
-    recall) across the faulty crossing, exercising the retry-with-backoff
-    and surrogate paths; CPU loads there still count toward liveness but
-    are excluded from value checking, since a corrupted accelerator
-    writeback may legally land in them.
-
-    ``telemetry=True`` attaches a :class:`~repro.obs.Telemetry` hub to
-    the simulator — transaction spans, transitions, injected faults, and
-    marks are recorded and left on ``system.sim.obs`` (finalized) for
-    export; ``series_interval`` additionally samples counter time series
-    every that many ticks. ``lineage=True`` (requires telemetry) also
-    records the causal message-lineage graph, so every closed span
-    carries a ``blame`` breakdown even under injected link faults.
+    ``faults`` is a :class:`FaultPlan` or a ``{kind: rate}`` dict for the
+    accel link (None: no rates, though ``windows`` may still add
+    scheduled outages); ``changes`` override other :data:`CHAOS` fields.
     """
-    plan = _as_plan(faults, seed if fault_seed is None else fault_seed, windows)
-    contested = [0x180000 + 64 * i for i in range(contested_blocks)]
-    cpu_pool = [0x100000 + 64 * i for i in range(8)] + contested
-    adversary_pool = [0x200000 + 64 * i for i in range(8)] + contested
-    kwargs = dict(adversary_kwargs or {})
-    kwargs.setdefault("addr_pool", adversary_pool)
-    if adversary == "flood":
-        # Keep the flood alive on a lossy link: re-request addresses whose
-        # grant or writeback-ack the link ate.
-        kwargs.setdefault("retry_after", 4 * accel_timeout)
-    config = SystemConfig(
-        host=host,
-        org=AccelOrg.XG,
-        xg_variant=xg_variant,
-        n_cpus=n_cpus,
-        cpu_l1_sets=4,
-        cpu_l1_assoc=2,
-        shared_l2_sets=8,
-        shared_l2_assoc=4,
-        randomize_latencies=True,
-        seed=seed,
-        deadlock_threshold=200_000,
-        accel_timeout=accel_timeout,
-        probe_retries=probe_retries,
-        disable_after=disable_after,
-        mem_latency=30,
-        rate_limit=rate_limit,
-        fault_plan=plan,
-        lineage=lineage,
-        tags={"adversary": (adversary, kwargs)},
-    )
-    system = build_system(config)
-    obs = None
-    if telemetry:
-        obs = Telemetry(system.sim)
-        if series_interval:
-            obs.start_series(series_interval)
-    # The accelerator owns its private pool and the contested blocks;
-    # CPU-only pages carry no accelerator permissions, so CPU data
-    # checking stays sound even when the link corrupts accelerator-bound
-    # payloads.
-    system.permissions.default = PagePermission.NONE
-    for addr in adversary_pool:
-        system.permissions.grant(addr, PagePermission.READ_WRITE)
-
-    result = ChaosResult()
-    tester = RandomTester(
-        system.sim,
-        system.cpu_seqs,
-        cpu_pool,
-        ops_target=cpu_ops,
-        store_fraction=0.45,
-        check_data=True,
-        unchecked_blocks=contested,
-    )
-    adversary_component = system.accel_caches[0]
-    adversary_component.start()
-    tester.start()
-    try:
-        # Phase 1: CPUs, accelerator traffic, and link faults together.
-        system.sim.run(max_ticks=duration)
-        # Phase 2: silence the accelerator, drain remaining transactions —
-        # retries/timeouts must close every open probe even if the link
-        # keeps eating messages.
-        adversary_component.stop()
-        tester.stop()
-        system.sim.run()
-    except DeadlockError as exc:
-        result.host_deadlocked = True
-        result.crash_detail = f"{type(exc).__name__}: {exc}"
-        result.diagnosis = exc.diagnose()
-    except Exception as exc:  # noqa: BLE001 - any other escape is a host crash
-        result.host_crashed = True
-        result.crash_detail = f"{type(exc).__name__}: {exc}"
-    if obs is not None:
-        # After a full drain every span must have closed through its own
-        # lifecycle; finalize() force-closes stragglers as "orphaned" and
-        # the count is surfaced so campaigns can assert it stayed zero.
-        obs.finalize()
-        result.spans_closed = obs.spans.finished_total
-        result.spans_orphaned = obs.orphaned_count()
-    result.cpu_loads_checked = tester.loads_checked
-    result.cpu_loads_value_checked = tester.loads_value_checked
-    result.cpu_stores_committed = tester.stores_committed
-    result.adversary_messages = adversary_component.stats.get("adversary_msgs")
-    result.final_tick = system.sim.tick
-    log = system.error_log
-    result.violations_total = len(log)
-    result.violations = {g.name: n for g, n in log.by_guarantee().items()}
-    result.accel_disabled = log.accel_disabled
-    result.faults_injected = dict(plan.stats)
-    result.faults_total = plan.total_injected
-    xg = system.xg
-    result.probe_retries = xg.stats.get("probe_retries")
-    result.duplicates_sunk = xg.stats.get("duplicates_sunk.accel_request") + xg.stats.get(
-        "duplicates_sunk.accel_response"
-    )
-    result.retry_echoes_absorbed = xg.stats.get("retry_echoes_absorbed")
-    result.quarantine_surrogates = xg.stats.get("quarantine_surrogates")
-    result.requests_dropped_disabled = xg.stats.get("dropped_disabled")
-    return result, system
-
-
-def _run_chaos_job(host, variant, rates, fault_label, rate, seed, duration,
-                   cpu_ops, adversary, accel_timeout, probe_retries):
-    """One chaos campaign, worker-side; returns its (picklable) result row."""
-    result, _system = run_chaos_campaign(
-        host,
-        variant,
-        faults=rates,
-        adversary=adversary,
-        seed=seed,
-        duration=duration,
-        cpu_ops=cpu_ops,
-        accel_timeout=accel_timeout,
-        probe_retries=probe_retries,
-    )
-    data = result.as_dict()
-    data.update(
-        host=host.name,
-        variant=variant.name,
-        fault=fault_label,
-        rate=rate,
-        seed=seed,
-    )
-    return data
+    if faults is not None:
+        changes["faults"] = faults
+    return run_scenario(CHAOS.replace(host=host, variant=xg_variant, **changes))
 
 
 def run_chaos_matrix(
     fault_kinds=("drop", "duplicate", "delay", "corrupt"),
     rate=0.2,
-    hosts=(HostProtocol.MESI, HostProtocol.HAMMER),
-    variants=(XGVariant.FULL_STATE, XGVariant.TRANSACTIONAL),
-    adversary="flood",
+    hosts=ALL_HOSTS,
+    variants=ALL_VARIANTS,
+    adversary=CHAOS.adversary,
     seeds=range(1),
     duration=40_000,
     cpu_ops=600,
     accel_timeout=2000,
-    probe_retries=2,
+    probe_retries=CHAOS.probe_retries,
     workers=1,
 ):
     """Sweep fault kind x host x XG variant x seed; one row per campaign.
 
     Also runs a ``mixed`` campaign per (host, variant, seed) with every
     kind active at once — the compound case is where interaction bugs
-    (e.g. a duplicate of a delayed retry answer) actually live.
-    ``workers`` distributes the campaigns over a process pool; rows come
-    back in submission order, identical to a serial sweep.
+    (e.g. a duplicate of a delayed retry answer) actually live. Rows are
+    labelled with ``fault`` and ``rate``.
     """
-    unknown = set(fault_kinds) - set(FAULT_KINDS)
-    if unknown:
-        raise ValueError(f"unknown fault kinds {sorted(unknown)}")
     mixes = [(kind, {kind: rate}) for kind in fault_kinds]
     if len(fault_kinds) > 1:
         mixes.append(("mixed", {kind: rate / 2 for kind in fault_kinds}))
-    campaign_jobs = []
-    templates = []
-    for host in hosts:
-        for variant in variants:
-            for fault_label, rates in mixes:
-                for seed in seeds:
-                    campaign_jobs.append(
-                        CampaignJob(
-                            runner=_run_chaos_job,
-                            args=(host, variant, rates, fault_label, rate, seed,
-                                  duration, cpu_ops, adversary, accel_timeout,
-                                  probe_retries),
-                            label=f"{host.name}/{variant.name}/{fault_label}/seed{seed}",
-                        )
-                    )
-                    template = ChaosResult().as_dict()
-                    template.update(
-                        host=host.name, variant=variant.name,
-                        fault=fault_label, rate=rate, seed=seed,
-                    )
-                    templates.append(template)
-    rows = []
-    for template, outcome in zip(templates, run_campaign(campaign_jobs, workers=workers)):
-        if outcome.ok:
-            rows.append(outcome.value)
-        else:
-            rows.append(merge_failure_into(template, outcome))
-    return rows
+    cells = [
+        (CHAOS.replace(host=host, variant=variant, faults=rates, adversary=adversary,
+                       seed=seed, duration=duration, cpu_ops=cpu_ops,
+                       accel_timeout=accel_timeout, probe_retries=probe_retries),
+         {"fault": fault_label, "rate": rate})
+        for host in hosts
+        for variant in variants
+        for fault_label, rates in mixes
+        for seed in seeds
+    ]
+    return run_matrix(cells, workers=workers)

@@ -1,162 +1,30 @@
-"""Fuzz / safety campaign harness (paper Section 4 safety evaluation).
+"""Fuzz / safety campaigns (paper Section 4 safety evaluation).
 
-Builds a Crossing Guard system whose accelerator has been replaced by an
-adversary (see :mod:`repro.accel.buggy`), runs live CPU traffic beside it,
-and checks the paper's safety claims:
-
-* the host never crashes (a ``ProtocolError`` escaping a host controller
-  would be the crash) and never deadlocks (watchdog);
-* CPU data integrity holds for pages the accelerator has no permissions
-  on (Guarantee 0);
-* every injected violation is visible to the OS in the error log.
-
-The adversary's own pages are READ_WRITE — the paper is explicit that XG
-cannot protect the *contents* of pages the accelerator may write, only
-the host's stability.
+A fixed adversary from :mod:`repro.accel.buggy` replaces the accelerator
+behind Crossing Guard while CPUs run checked traffic beside it. The host
+must never crash or deadlock, CPU data on pages the adversary has no
+permission on must stay intact (Guarantee 0), and every violation must
+reach the OS error log. A campaign is the
+:data:`~repro.testing.scenario.FUZZ` preset of
+:class:`~repro.testing.scenario.Scenario`.
 """
 
-from repro.host.config import AccelOrg, SystemConfig
-from repro.host.system import build_system
-from repro.obs import Telemetry
-from repro.sim.simulator import DeadlockError
-from repro.testing.random_tester import RandomTester
-from repro.xg.permissions import PagePermission
+from repro.testing.scenario import FUZZ, run_scenario
 
 
-class FuzzResult:
-    """Outcome of one fuzz campaign."""
+def run_fuzz_campaign(host, xg_variant, protect_cpu_pages=True, share_pool=False, **changes):
+    """Run one campaign; returns (:class:`~repro.testing.scenario.ScenarioResult`, system).
 
-    def __init__(self):
-        self.host_crashed = False
-        self.host_deadlocked = False
-        self.crash_detail = ""
-        self.diagnosis = ""
-        self.cpu_loads_checked = 0
-        self.cpu_stores_committed = 0
-        self.adversary_messages = 0
-        self.violations = {}
-        self.violations_total = 0
-        self.final_tick = 0
-
-    @property
-    def host_safe(self):
-        return not self.host_crashed and not self.host_deadlocked
-
-    def as_dict(self):
-        return {
-            "host_safe": self.host_safe,
-            "host_crashed": self.host_crashed,
-            "host_deadlocked": self.host_deadlocked,
-            "cpu_loads_checked": self.cpu_loads_checked,
-            "cpu_stores_committed": self.cpu_stores_committed,
-            "adversary_messages": self.adversary_messages,
-            "violations_total": self.violations_total,
-            "violations": dict(self.violations),
-            "final_tick": self.final_tick,
-            "diagnosis": self.diagnosis,
-        }
-
-
-def run_fuzz_campaign(
-    host,
-    xg_variant,
-    adversary="fuzz",
-    seed=0,
-    duration=60_000,
-    cpu_ops=1500,
-    adversary_kwargs=None,
-    accel_timeout=4000,
-    n_cpus=2,
-    protect_cpu_pages=True,
-    rate_limit=None,
-    share_pool=False,
-    host_bandwidth=None,
-    telemetry=False,
-):
-    """Run one campaign; returns (:class:`FuzzResult`, built system).
-
-    ``adversary`` is one of ``fuzz``, ``deaf``, ``wrong``, ``flood``.
-    CPU traffic uses its own address pool; with ``protect_cpu_pages`` the
-    adversary pool overlaps it but the overlapping pages carry no
-    permissions, so CPU data-value checking remains sound (G0).
-
-    ``telemetry=True`` attaches a :class:`~repro.obs.Telemetry` hub to the
-    simulator (finalized, left on ``system.sim.obs``) — the golden-run
-    equivalence suite uses it to digest transition sequences.
+    ``changes`` override :data:`FUZZ` fields (``adversary``, ``seed``,
+    ``duration``, ...). ``share_pool`` puts CPUs and adversary on the same
+    writable pages (layout ``shared``); otherwise ``protect_cpu_pages``
+    also aims the adversary at the CPU pages, which carry no permission
+    (``probe``), and without it the adversary keeps to its own (``private``).
     """
-    cpu_pool = [0x100000 + 64 * i for i in range(8)]
-    adversary_pool = [0x200000 + 64 * i for i in range(8)]
     if share_pool:
-        # CPUs and adversary fight over the same writable pages; data on
-        # those pages is legitimately corruptible (Section 2.2.1), so the
-        # tester only checks liveness/latency.
-        adversary_pool = cpu_pool
-        protect_cpu_pages = False
+        pages = "shared"
     elif protect_cpu_pages:
-        adversary_pool = adversary_pool + cpu_pool
-
-    kwargs = dict(adversary_kwargs or {})
-    kwargs.setdefault("addr_pool", adversary_pool)
-    config = SystemConfig(
-        host=host,
-        org=AccelOrg.XG,
-        xg_variant=xg_variant,
-        n_cpus=n_cpus,
-        cpu_l1_sets=4,
-        cpu_l1_assoc=2,
-        shared_l2_sets=8,
-        shared_l2_assoc=4,
-        randomize_latencies=True,
-        seed=seed,
-        deadlock_threshold=200_000,
-        accel_timeout=accel_timeout,
-        mem_latency=30,
-        rate_limit=rate_limit,
-        host_net_bandwidth=host_bandwidth,
-        tags={"adversary": (adversary, kwargs)},
-    )
-    system = build_system(config)
-    obs = Telemetry(system.sim) if telemetry else None
-    # The adversary may do anything on its own pages, nothing elsewhere.
-    system.permissions.default = PagePermission.NONE
-    for addr in adversary_pool:
-        if share_pool or addr not in cpu_pool:
-            system.permissions.grant(addr, PagePermission.READ_WRITE)
-
-    result = FuzzResult()
-    tester = RandomTester(
-        system.sim,
-        system.cpu_seqs,
-        cpu_pool,
-        ops_target=cpu_ops,
-        store_fraction=0.45,
-        check_data=not share_pool,
-    )
-    adversary_component = system.accel_caches[0]
-    adversary_component.start()
-    tester.start()
-    try:
-        # Phase 1: CPUs and adversary run together.
-        system.sim.run(max_ticks=duration)
-        # Phase 2: silence the adversary and drain remaining CPU traffic
-        # (pending XG timeouts keep the event queue alive until resolved).
-        adversary_component.stop()
-        tester.stop()
-        system.sim.run()
-    except DeadlockError as exc:
-        result.host_deadlocked = True
-        result.crash_detail = f"{type(exc).__name__}: {exc}"
-        result.diagnosis = exc.diagnose()
-    except Exception as exc:  # noqa: BLE001 - any other escape is a host crash
-        result.host_crashed = True
-        result.crash_detail = f"{type(exc).__name__}: {exc}"
-    if obs is not None:
-        obs.finalize()
-    result.cpu_loads_checked = tester.loads_checked
-    result.cpu_stores_committed = tester.stores_committed
-    result.adversary_messages = adversary_component.stats.get("adversary_msgs")
-    result.final_tick = system.sim.tick
-    log = system.error_log
-    result.violations_total = len(log)
-    result.violations = {g.name: n for g, n in log.by_guarantee().items()}
-    return result, system
+        pages = "probe"
+    else:
+        pages = "private"
+    return run_scenario(FUZZ.replace(host=host, variant=xg_variant, pages=pages, **changes))

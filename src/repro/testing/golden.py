@@ -39,14 +39,16 @@ SCENARIOS = ("stress", "fuzz", "chaos")
 
 #: The (scenario, host, org) configs whose digests are committed in
 #: ``tests/golden/digests.json``: every host protocol, both XG ports that
-#: share code (MESI and MESIF), and a chaos run whose link faults
-#: duplicate and drop messages on the crossing.
+#: share code (MESI and MESIF), a chaos run whose link faults
+#: duplicate and drop messages on the crossing, and a fuzz run that pins
+#: the fixed-adversary path.
 PINNED_CONFIGS = (
     ("stress", HostProtocol.MESI, AccelOrg.XG),
     ("stress", HostProtocol.HAMMER, AccelOrg.XG),
     ("stress", HostProtocol.MESIF, AccelOrg.HOST_SIDE),
     ("stress", HostProtocol.MESIF, AccelOrg.XG),
     ("chaos", HostProtocol.MESI, AccelOrg.XG),
+    ("fuzz", HostProtocol.HAMMER, AccelOrg.XG),
 )
 
 

@@ -1,404 +1,64 @@
 """Byzantine-accelerator campaigns: rogue plans against a hardened XG.
 
-The fuzz adversaries each hard-code one misbehavior; a
-:class:`~repro.accel.rogue.RogueAccel` runs a serializable
+The :data:`~repro.testing.scenario.ROGUE` preset runs a serializable
 :class:`~repro.accel.rogue.RoguePlan` mixing protocol-legal-but-hostile
-and outright-illegal traffic. A rogue campaign asserts the containment
-story end to end:
-
-* the host never crashes, never deadlocks, and keeps completing CPU work
-  while the rogue misbehaves;
-* the online invariant watchdog — sampling :func:`check_all
-  <repro.testing.invariants.check_all>` *during* the run — never fires;
-* the rogue itself is *contained*: every campaign classifies how XG dealt
-  with it (``quarantined`` / ``throttled`` / ``timed_out`` / ``absorbed``)
-  and anything less than containment (``escaped``) fails the sweep.
-
-``run_rogue_matrix`` fans plans x hosts x XG variants x seeds over the
-shared campaign executor; ``python -m repro rogue`` drives it.
+and outright-illegal traffic. The host must never crash or deadlock and
+must keep completing CPU work, the online invariant watchdog must never
+fire, and every campaign classifies how XG contained the rogue
+(``quarantined`` / ``throttled`` / ``timed_out`` / ``absorbed``);
+``escaped`` fails the sweep. ``python -m repro rogue`` drives
+:func:`run_rogue_matrix`.
 """
 
-from repro.accel.rogue import RogueAccel, RoguePlan
-from repro.eval.campaign import CampaignJob, merge_failure_into, run_campaign
-from repro.host.config import AccelOrg, HostProtocol, SystemConfig
-from repro.host.system import build_system
-from repro.obs import Telemetry
-from repro.sim.simulator import DeadlockError
-from repro.testing.fuzzer import FuzzResult
-from repro.testing.invariants import DEFAULT_WATCHDOG_INTERVAL, InvariantError
-from repro.testing.random_tester import RandomTester
-from repro.xg.errors import Guarantee
-from repro.xg.interface import XGVariant
-from repro.xg.permissions import PagePermission
-
-#: Containment classifications, worst first. ``escaped`` means the rogue
-#: hurt the host (crash/deadlock/invariant violation) — the one outcome a
-#: sweep must never see.
-CONTAINMENT_OUTCOMES = ("escaped", "quarantined", "throttled", "timed_out", "absorbed")
-
-#: The stock plan library. Each plan isolates one Byzantine personality;
-#: ``shapeshifter`` mixes them all. Campaigns reseed per cell with
-#: :meth:`RoguePlan.reseed`, so the library entries stay immutable.
-ROGUE_PLANS = {
-    # Interface-legal but antisocial: heavy unsolicited-response traffic.
-    "spoofer": RoguePlan(
-        "spoofer",
-        moves={"legal_get": 2, "spurious_response": 4, "stale_response": 2,
-               "wrong_addr_response": 2},
-    ),
-    # Plays nice on requests, lies when probed.
-    "liar": RoguePlan(
-        "liar",
-        moves={"legal_get": 4, "legal_put": 2},
-        inv_responses={"wrong_type": 2, "wrong_addr": 1, "correct": 1},
-    ),
-    # Replays its own history: same-uid wire duplicates plus double acks.
-    "replayer": RoguePlan(
-        "replayer",
-        moves={"legal_get": 3, "legal_put": 1, "stale_replay": 4},
-        inv_responses={"double": 2, "correct": 1},
-    ),
-    # Acquires blocks, then never answers a probe (G2c timeout path).
-    "mute": RoguePlan(
-        "mute",
-        moves={"legal_get": 3, "silence": 2},
-        inv_responses={"ignore": 1},
-        mean_gap=40,
-    ),
-    # Denial of service with perfectly legal requests.
-    "flooder": RoguePlan(
-        "flooder",
-        moves={"legal_get": 1, "flood_burst": 5},
-        mean_gap=8,
-        burst=8,
-    ),
-    # Behaves, then dies mid-transaction with mail unread.
-    "zombie": RoguePlan(
-        "zombie",
-        moves={"legal_get": 4, "legal_put": 2},
-        inv_responses={"correct": 3, "ignore": 1},
-        die_at=15_000,
-    ),
-    # Unparseable garbage: bad addresses, unknown types, missing payloads.
-    "garbler": RoguePlan(
-        "garbler",
-        moves={"legal_get": 1, "malformed": 5},
-    ),
-    # Everything at once.
-    "shapeshifter": RoguePlan(
-        "shapeshifter",
-        moves={name: 1 for name in
-               ("legal_get", "legal_put", "spurious_response",
-                "wrong_addr_response", "stale_replay", "stale_response",
-                "malformed", "flood_burst", "silence")},
-        inv_responses={"correct": 2, "wrong_type": 1, "wrong_addr": 1,
-                       "ignore": 1, "double": 1},
-    ),
-}
+from repro.testing.scenario import (  # noqa: F401 - CONTAINMENT_OUTCOMES re-exported
+    ALL_HOSTS,
+    ALL_VARIANTS,
+    CONTAINMENT_OUTCOMES,
+    ROGUE,
+    ROGUE_PLANS,
+    run_matrix,
+    run_scenario,
+)
 
 
-class RogueResult(FuzzResult):
-    """One rogue campaign's outcome: safety + containment accounting."""
+def run_rogue_campaign(host, xg_variant, plan=ROGUE.adversary, **changes):
+    """Run one rogue campaign; returns (:class:`~repro.testing.scenario.ScenarioResult`, system).
 
-    def __init__(self):
-        super().__init__()
-        self.plan = ""
-        self.plan_json = ""
-        self.containment = ""
-        self.quarantine_state = "healthy"
-        self.accel_disabled = False
-        self.invariant_violated = False
-        self.invariant_detail = ""
-        self.forensics = None
-        self.watchdog_samples = 0
-        self.watchdog_checks = 0
-        self.watchdog_skipped = 0
-        self.malformed_rejected = 0
-        self.nacks_sent = 0
-        self.grants_suppressed = 0
-        self.throttle_applied = 0
-        self.rate_limited = 0
-        self.quarantine_surrogates = 0
-        self.requests_dropped_disabled = 0
-        self.duplicates_sunk = 0
-        self.rogue_died = False
-
-    @property
-    def contained(self):
-        """True when the rogue never hurt the host."""
-        return self.host_safe and not self.invariant_violated
-
-    def as_dict(self):
-        data = super().as_dict()
-        data.update(
-            plan=self.plan,
-            plan_json=self.plan_json,
-            containment=self.containment,
-            contained=self.contained,
-            quarantine_state=self.quarantine_state,
-            accel_disabled=self.accel_disabled,
-            invariant_violated=self.invariant_violated,
-            invariant_detail=self.invariant_detail,
-            forensics=self.forensics,
-            watchdog_samples=self.watchdog_samples,
-            watchdog_checks=self.watchdog_checks,
-            watchdog_skipped=self.watchdog_skipped,
-            malformed_rejected=self.malformed_rejected,
-            nacks_sent=self.nacks_sent,
-            grants_suppressed=self.grants_suppressed,
-            throttle_applied=self.throttle_applied,
-            rate_limited=self.rate_limited,
-            quarantine_surrogates=self.quarantine_surrogates,
-            requests_dropped_disabled=self.requests_dropped_disabled,
-            duplicates_sunk=self.duplicates_sunk,
-            rogue_died=self.rogue_died,
-        )
-        return data
-
-
-def _classify(result):
-    """Containment outcome, worst rung the campaign reached.
-
-    ``escaped`` is any harm to the host; ``quarantined`` means the OS
-    ladder disabled the accelerator; ``throttled`` means the punitive
-    rate clamp engaged; ``timed_out`` means probes had to fall back to
-    the G2c surrogate; ``absorbed`` means XG simply corrected/logged
-    everything inline.
+    ``plan`` is a :data:`ROGUE_PLANS` name or a :class:`RoguePlan`;
+    ``changes`` override other :data:`ROGUE` fields. Contested blocks
+    force host-initiated Invalidates across to the rogue, so its probe
+    reactions (lie / ignore / double-answer) actually fire.
     """
-    if not result.contained:
-        return "escaped"
-    if result.accel_disabled:
-        return "quarantined"
-    if result.quarantine_state == "throttled" or result.throttle_applied:
-        return "throttled"
-    if result.violations.get(Guarantee.G2C_TIMEOUT.name, 0):
-        return "timed_out"
-    return "absorbed"
-
-
-def run_rogue_campaign(
-    host,
-    xg_variant,
-    plan="shapeshifter",
-    seed=0,
-    duration=60_000,
-    cpu_ops=1200,
-    accel_timeout=2500,
-    probe_retries=2,
-    disable_after=6,
-    warn_after=2,
-    throttle_after=4,
-    throttle_rate=(2, 200),
-    rate_limit=(16, 100),
-    invariant_interval=DEFAULT_WATCHDOG_INTERVAL,
-    contested_blocks=2,
-    n_cpus=2,
-    telemetry=False,
-):
-    """Run one rogue campaign; returns (:class:`RogueResult`, system).
-
-    ``plan`` is a :data:`ROGUE_PLANS` name or a :class:`RoguePlan`; it is
-    reseeded with ``seed`` so cells of a sweep draw distinct behavior
-    streams while staying replayable from the serialized plan alone.
-    The full quarantine ladder is armed by default (warn -> throttle ->
-    disable), the request rate limiter is on, and the online invariant
-    watchdog samples every ``invariant_interval`` ticks (0 disables).
-
-    ``contested_blocks`` blocks are hammered by *both* the CPUs and the
-    rogue — they are what forces host-initiated Invalidates across to
-    the rogue, so its probe reactions (lie / ignore / double-answer)
-    actually fire. CPU loads there still count toward liveness but are
-    excluded from value checking; the rogue may legally write them.
-    CPU-only pages carry no accelerator permissions, so CPU data-value
-    checking stays sound no matter what the rogue sends — the paper is
-    explicit that XG protects the *host*, not pages the accelerator may
-    legally write.
-    """
-    if isinstance(plan, str):
-        plan = ROGUE_PLANS[plan]
-    plan = plan.reseed(seed)
-    contested = [0x180000 + 64 * i for i in range(contested_blocks)]
-    cpu_pool = [0x100000 + 64 * i for i in range(8)] + contested
-    rogue_pool = [0x200000 + 64 * i for i in range(8)] + contested
-    config = SystemConfig(
-        host=host,
-        org=AccelOrg.XG,
-        xg_variant=xg_variant,
-        n_cpus=n_cpus,
-        cpu_l1_sets=4,
-        cpu_l1_assoc=2,
-        shared_l2_sets=8,
-        shared_l2_assoc=4,
-        randomize_latencies=True,
-        seed=seed,
-        deadlock_threshold=200_000,
-        accel_timeout=accel_timeout,
-        probe_retries=probe_retries,
-        disable_after=disable_after,
-        warn_after=warn_after,
-        throttle_after=throttle_after,
-        throttle_rate=throttle_rate,
-        rate_limit=rate_limit,
-        invariant_interval=invariant_interval,
-        mem_latency=30,
-        tags={"adversary": ("rogue", {"addr_pool": rogue_pool, "plan": plan})},
-    )
-    system = build_system(config)
-    obs = Telemetry(system.sim) if telemetry else None
-    system.permissions.default = PagePermission.NONE
-    for addr in rogue_pool:
-        system.permissions.grant(addr, PagePermission.READ_WRITE)
-
-    result = RogueResult()
-    result.plan = plan.name
-    result.plan_json = plan.to_json()
-    tester = RandomTester(
-        system.sim,
-        system.cpu_seqs,
-        cpu_pool,
-        ops_target=cpu_ops,
-        store_fraction=0.45,
-        check_data=True,
-        unchecked_blocks=contested,
-    )
-    rogue = system.accel_caches[0]
-    rogue.start()
-    tester.start()
-    try:
-        # Phase 1: CPUs and the rogue run together under the watchdog.
-        system.sim.run(max_ticks=duration)
-        # Phase 2: silence the rogue and drain — timeouts and surrogate
-        # answers must close every transaction the rogue left dangling.
-        rogue.stop()
-        tester.stop()
-        system.sim.run()
-    except InvariantError as exc:
-        result.invariant_violated = True
-        result.invariant_detail = str(exc)
-        result.crash_detail = f"{type(exc).__name__}: {exc}"
-        result.forensics = getattr(exc, "forensics", None)
-    except DeadlockError as exc:
-        result.host_deadlocked = True
-        result.crash_detail = f"{type(exc).__name__}: {exc}"
-        result.diagnosis = exc.diagnose()
-    except Exception as exc:  # noqa: BLE001 - any other escape is a host crash
-        result.host_crashed = True
-        result.crash_detail = f"{type(exc).__name__}: {exc}"
-    if obs is not None:
-        obs.finalize()
-    result.cpu_loads_checked = tester.loads_checked
-    result.cpu_stores_committed = tester.stores_committed
-    result.adversary_messages = rogue.stats.get("adversary_msgs")
-    result.rogue_died = rogue.dead
-    result.final_tick = system.sim.tick
-
-    log = system.error_log
-    result.violations_total = len(log)
-    result.violations = {g.name: n for g, n in log.by_guarantee().items()}
-    result.quarantine_state = log.quarantine_state
-    result.accel_disabled = log.accel_disabled
-    xg = system.xg
-    result.malformed_rejected = xg.stats.get("malformed_rejected")
-    result.nacks_sent = xg.stats.get("dropped_disabled")
-    result.grants_suppressed = xg.stats.get("grants_suppressed_disabled")
-    result.throttle_applied = xg.stats.get("throttle_applied")
-    result.rate_limited = xg.stats.get("rate_limited")
-    result.quarantine_surrogates = xg.stats.get("quarantine_surrogates")
-    result.requests_dropped_disabled = xg.stats.get("dropped_disabled")
-    result.duplicates_sunk = xg.stats.get(
-        "duplicates_sunk.accel_request"
-    ) + xg.stats.get("duplicates_sunk.accel_response")
-    watchdog = system.watchdog
-    if watchdog is not None:
-        result.watchdog_samples = watchdog.samples
-        result.watchdog_checks = watchdog.checks
-        result.watchdog_skipped = watchdog.skipped
-        if watchdog.violations and not result.invariant_violated:
-            result.invariant_violated = True
-            result.invariant_detail = watchdog.violations[0]["error"]
-            result.forensics = watchdog.violations[0]
-    result.containment = _classify(result)
-    return result, system
-
-
-def _run_rogue_job(host, variant, plan_name, seed, duration, cpu_ops,
-                   accel_timeout, invariant_interval):
-    """One rogue campaign, worker-side; returns its (picklable) result row."""
-    result, _system = run_rogue_campaign(
-        host,
-        variant,
-        plan=plan_name,
-        seed=seed,
-        duration=duration,
-        cpu_ops=cpu_ops,
-        accel_timeout=accel_timeout,
-        invariant_interval=invariant_interval,
-    )
-    data = result.as_dict()
-    data.update(host=host.name, variant=variant.name, plan=plan_name, seed=seed)
-    return data
+    return run_scenario(ROGUE.replace(host=host, variant=xg_variant, adversary=plan, **changes))
 
 
 def run_rogue_matrix(
     plans=None,
-    hosts=(HostProtocol.MESI, HostProtocol.HAMMER, HostProtocol.MESIF),
-    variants=(XGVariant.FULL_STATE, XGVariant.TRANSACTIONAL),
+    hosts=ALL_HOSTS,
+    variants=ALL_VARIANTS,
     seeds=range(1),
     duration=40_000,
     cpu_ops=600,
     accel_timeout=2000,
-    invariant_interval=DEFAULT_WATCHDOG_INTERVAL,
+    invariant_interval=ROGUE.invariant_interval,
     workers=1,
 ):
     """Sweep plan x host x XG variant x seed; one row per campaign.
 
-    Rows come back in submission order regardless of ``workers``, so a
-    parallel sweep's report is byte-identical to the serial one. A worker
-    that escapes its own error handling is folded into a rectangular
-    failure row (``containment='escaped'``) carrying any watchdog
-    forensics the exception brought along.
+    ``plans`` defaults to every stock plan.
     """
     if plans is None:
         plans = tuple(ROGUE_PLANS)
     unknown = set(plans) - set(ROGUE_PLANS)
     if unknown:
         raise ValueError(f"unknown rogue plans {sorted(unknown)}")
-    campaign_jobs = []
-    templates = []
-    for plan_name in plans:
-        for host in hosts:
-            for variant in variants:
-                for seed in seeds:
-                    campaign_jobs.append(
-                        CampaignJob(
-                            runner=_run_rogue_job,
-                            args=(host, variant, plan_name, seed, duration,
-                                  cpu_ops, accel_timeout, invariant_interval),
-                            label=f"{plan_name}/{host.name}/{variant.name}/seed{seed}",
-                        )
-                    )
-                    template = RogueResult().as_dict()
-                    template.update(
-                        host=host.name, variant=variant.name,
-                        plan=plan_name, seed=seed,
-                    )
-                    templates.append(template)
-    rows = []
-    for template, outcome in zip(templates, run_campaign(campaign_jobs, workers=workers)):
-        if outcome.ok:
-            row = outcome.value
-            if outcome.forensics is not None and not row.get("forensics"):
-                # fabric forensics_all: the worker kept its black box even
-                # though the campaign succeeded
-                row["forensics"] = outcome.forensics
-            rows.append(row)
-        else:
-            row = merge_failure_into(template, outcome)
-            row["containment"] = "escaped"
-            row["contained"] = False
-            if outcome.error_type == "InvariantError":
-                row["invariant_violated"] = True
-                row["invariant_detail"] = outcome.error
-            row["forensics"] = outcome.forensics
-            rows.append(row)
-    return rows
+    cells = [
+        (ROGUE.replace(adversary=plan, host=host, variant=variant, seed=seed,
+                       duration=duration, cpu_ops=cpu_ops, accel_timeout=accel_timeout,
+                       invariant_interval=invariant_interval), {})
+        for plan in plans
+        for host in hosts
+        for variant in variants
+        for seed in seeds
+    ]
+    return run_matrix(cells, workers=workers)

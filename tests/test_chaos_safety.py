@@ -41,7 +41,7 @@ def _assert_row_safe(row):
 
 
 def test_chaos_matrix_host_survives_every_fault_kind():
-    """Acceptance sweep: 3 fault kinds (+ the mixed campaign) x 2 hosts x
+    """Acceptance sweep: 3 fault kinds (+ the mixed campaign) x 3 hosts x
     2 XG variants, nonzero rates on the XG<->accel link."""
     rows = run_chaos_matrix(
         fault_kinds=("drop", "duplicate", "corrupt"),
@@ -49,7 +49,7 @@ def test_chaos_matrix_host_survives_every_fault_kind():
         duration=20_000,
         cpu_ops=300,
     )
-    assert len(rows) == 16  # (3 kinds + mixed) x 2 hosts x 2 variants
+    assert len(rows) == 24  # (3 kinds + mixed) x 3 hosts x 2 variants
     for row in rows:
         _assert_row_safe(row)
     # Kind-specific recovery evidence, aggregated across hosts/variants so
@@ -164,8 +164,8 @@ def test_chaos_accepts_prebuilt_plan():
 
 @pytest.mark.slow
 def test_chaos_deep_sweep_all_kinds_two_seeds():
-    """The full acceptance sweep at depth: every fault kind, both hosts,
-    both variants, two seeds. Run explicitly with ``-m slow``."""
+    """The full acceptance sweep at depth: every fault kind, all three
+    hosts, both variants, two seeds. Run explicitly with ``-m slow``."""
     rows = run_chaos_matrix(
         fault_kinds=("drop", "duplicate", "delay", "corrupt"),
         rate=0.25,
@@ -173,6 +173,6 @@ def test_chaos_deep_sweep_all_kinds_two_seeds():
         duration=40_000,
         cpu_ops=600,
     )
-    assert len(rows) == 40
+    assert len(rows) == 60  # (4 kinds + mixed) x 3 hosts x 2 variants x 2 seeds
     for row in rows:
         _assert_row_safe(row)
