@@ -83,18 +83,6 @@ class AccelL1(CacheControllerBase):
         self.net.send(msg, port)
         return msg
 
-    def _fill_room(self, addr):
-        set_index = self.cache.set_index(self.align(addr))
-        occupied = sum(
-            1 for entry in self.cache.entries() if self.cache.set_index(entry.addr) == set_index
-        )
-        reserved = sum(
-            1
-            for tbe in self.tbes
-            if tbe.meta.get("needs_slot") and self.cache.set_index(tbe.addr) == set_index
-        )
-        return self.cache.assoc - occupied - reserved
-
     # -- dispatch --------------------------------------------------------------------
 
     def handle_message(self, port, msg):
@@ -118,8 +106,8 @@ class AccelL1(CacheControllerBase):
         event = AL1Event.Load if msg.mtype is CpuOp.Load else AL1Event.Store
         if state is AL1State.B:
             return STALL
-        if state is AL1State.I and self._fill_room(addr) <= 0:
-            victim = self.stable_victim(addr)
+        if state is AL1State.I and self.cache.fill_room(addr, self.tbes) <= 0:
+            victim = self.cache.stable_victim(addr, self.tbes)
             if victim is not None:
                 synthetic = Message(event, victim.addr, sender=self.name, dest=self.name)
                 self.fire(victim.state, AL1Event.Replacement, synthetic)

@@ -44,7 +44,7 @@ class StreamingAccelL1(AccelL1):
             target = base + step * self.block_size
             if self.block_state(target) is not AL1State.I:
                 continue  # resident or already in flight
-            if self._fill_room(target) <= 0:
+            if self.cache.fill_room(target, self.tbes) <= 0:
                 continue  # never evict demand data for a prefetch
             tbe = self.tbes.allocate(target, AL1State.B, now=self.sim.tick)
             tbe.origin = None  # no CPU op waiting

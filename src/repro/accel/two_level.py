@@ -131,29 +131,6 @@ class AccelL2Shared(CoherenceController):
         entry = self.cache.lookup(addr, touch=False)
         return entry.state if entry is not None else AL2State.NP
 
-    def _fill_room(self, addr):
-        set_index = self.cache.set_index(self.align(addr))
-        occupied = sum(
-            1 for entry in self.cache.entries() if self.cache.set_index(entry.addr) == set_index
-        )
-        reserved = sum(
-            1
-            for tbe in self.tbes
-            if tbe.meta.get("needs_slot") and self.cache.set_index(tbe.addr) == set_index
-        )
-        return self.cache.assoc - occupied - reserved
-
-    def _stable_victim(self, addr):
-        set_index = self.cache.set_index(self.align(addr))
-        candidates = [
-            entry
-            for entry in self.cache.entries()
-            if self.cache.set_index(entry.addr) == set_index and entry.addr not in self.tbes
-        ]
-        if not candidates:
-            return None
-        return min(candidates, key=lambda entry: entry.last_use)
-
     # -- dispatch --------------------------------------------------------------------
 
     def handle_message(self, port, msg):
@@ -194,14 +171,14 @@ class AccelL2Shared(CoherenceController):
                     return self._l1_put_race(msg, addr, tbe)
                 return STALL
             if state is AL2State.NP and msg.mtype in (AccelMsg.GetS, AccelMsg.GetM):
-                if self._fill_room(addr) <= 0:
-                    victim = self._stable_victim(addr)
+                if self.cache.fill_room(addr, self.tbes) <= 0:
+                    victim = self.cache.stable_victim(addr, self.tbes)
                     if victim is not None:
                         synthetic = Message(
                             AL2Event.Replacement, victim.addr, sender=self.name, dest=self.name
                         )
                         self.fire(victim.state, AL2Event.Replacement, synthetic)
-                    if self._fill_room(addr) <= 0:
+                    if self.cache.fill_room(addr, self.tbes) <= 0:
                         return RETRY
             return self.fire(self._state(addr), event, msg)
         raise AssertionError(f"unknown port {port}")

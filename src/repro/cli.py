@@ -250,6 +250,7 @@ def _cmd_bench(args):
 
 def _cmd_golden(args):
     from repro.testing.golden import (
+        check_pinned,
         equivalence_matrix,
         load_pinned,
         pinned_digests,
@@ -282,12 +283,10 @@ def _cmd_golden(args):
         return 1 if bad else 0
     pinned = load_pinned(args.path)
     fresh = pinned_digests(seed=pinned["seed"], ops=pinned["ops"])
-    bad = []
-    for label, digest in sorted(pinned["digests"].items()):
-        ok = fresh["digests"].get(label) == digest
-        print(f"  {label}: {'OK' if ok else 'CHANGED'}")
-        if not ok:
-            bad.append(label)
+    verdicts = check_pinned(pinned["digests"], fresh["digests"])
+    for label, verdict in verdicts.items():
+        print(f"  {label}: {verdict}")
+    bad = [label for label, verdict in verdicts.items() if verdict != "OK"]
     if bad:
         print(f"\ngolden digests changed: {', '.join(bad)}\n"
               f"If deliberate, refresh with `python -m repro golden --update` "

@@ -14,6 +14,10 @@ hashable, deterministic tuples with the volatile parts stripped:
 * unknown objects fall back to ``repr`` — safe for the small config
   cells the explorer drives, and loud in a diff if something volatile
   ever leaks through.
+
+:func:`canonical_text` renders such a snapshot as text that does not
+depend on dict order; the explorer hashes it under every symmetry
+renaming, and the golden ``state`` digest hashes it as is.
 """
 
 import enum
@@ -102,3 +106,38 @@ def snap_tbe(tbe):
         getattr(tbe.permission, "name", tbe.permission),
         snap_meta(tbe.meta),
     )
+
+
+def canonical_text(obj, name_map, addr_map):
+    """Canonical text of one snapshot under one renaming (maps may be None).
+
+    Strings go through ``name_map`` and ints through ``addr_map``; a dict
+    renders as ``('dict', (items))`` with its ``(key, value)`` item texts
+    sorted, a list or tuple as ``('tuple', (values))``, anything else as
+    its ``repr``. That is the ``repr`` of the renamed snapshot with every
+    dict frozen into a sorted item tuple, built bottom-up in one pass.
+    """
+    if isinstance(obj, str):
+        return repr(name_map.get(obj, obj) if name_map else obj)
+    if isinstance(obj, bool) or obj is None or isinstance(obj, (bytes, float)):
+        return repr(obj)
+    if isinstance(obj, int):
+        return repr(addr_map.get(obj, obj) if addr_map else obj)
+    if isinstance(obj, dict):
+        items = sorted([
+            f"({canonical_text(key, name_map, addr_map)}, "
+            f"{canonical_text(value, name_map, addr_map)})"
+            for key, value in obj.items()
+        ])
+        return f"('dict', {_tuple_text(items)})"
+    if isinstance(obj, (list, tuple)):
+        parts = [canonical_text(v, name_map, addr_map) for v in obj]
+        return f"('tuple', {_tuple_text(parts)})"
+    return repr(obj)
+
+
+def _tuple_text(parts):
+    """``repr`` of a tuple whose elements render as ``parts``."""
+    if len(parts) == 1:
+        return f"({parts[0]},)"
+    return f"({', '.join(parts)})"

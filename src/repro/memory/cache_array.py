@@ -97,6 +97,36 @@ class CacheArray:
             return None
         return min(target_set.values(), key=lambda entry: entry.last_use)
 
+    # -- replacement against open transactions ---------------------------------
+
+    def fill_room(self, addr, tbes):
+        """Free ways in ``addr``'s set, net of fills already promised one.
+
+        ``tbes`` is the owner's :class:`~repro.coherence.tbe.TBETable`; an
+        open transaction with ``meta["needs_slot"]`` set holds a way in its
+        set for the fill it is waiting on.
+        """
+        set_index = self.set_index(addr)
+        reserved = sum(
+            1
+            for tbe in tbes
+            if tbe.meta.get("needs_slot") and self.set_index(tbe.addr) == set_index
+        )
+        return self.assoc - len(self._sets[set_index]) - reserved
+
+    def stable_victim(self, addr, tbes):
+        """LRU entry in ``addr``'s set with no open transaction, or None.
+
+        An entry with a TBE in ``tbes`` is mid-transaction and cannot be
+        evicted.
+        """
+        candidates = [
+            entry for entry in self._set_for(addr).values() if entry.addr not in tbes
+        ]
+        if not candidates:
+            return None
+        return min(candidates, key=lambda entry: entry.last_use)
+
     # -- inspection -----------------------------------------------------------
 
     def entries(self):

@@ -3,7 +3,8 @@
 Defines the CPU-facing request types (the "mandatory queue" in Ruby
 terms) and a cache controller base with the bookkeeping every L1-like
 controller needs: a data array plus a TBE table, combined state lookup,
-sequencer completion callbacks, and replacement victim selection.
+and sequencer completion callbacks. Replacement (free ways and the
+stable LRU victim) lives on :class:`~repro.memory.cache_array.CacheArray`.
 """
 
 import enum
@@ -88,27 +89,3 @@ class CacheControllerBase(CoherenceController):
         sequencer = self.sequencers.get(msg.sender)
         if sequencer is not None:
             sequencer.request_done(msg, data.copy() if data is not None else None)
-
-    # -- replacement helpers --------------------------------------------------------
-
-    def stable_victim(self, addr):
-        """LRU victim in ``addr``'s set that is in a stable state, or None.
-
-        Entries with an open TBE are mid-transaction and cannot be evicted.
-        """
-        target_set_index = self.cache.set_index(self.align(addr))
-        candidates = [
-            entry
-            for entry in self.cache.entries()
-            if self.cache.set_index(entry.addr) == target_set_index
-            and entry.addr not in self.tbes
-        ]
-        if not candidates:
-            return None
-        return min(candidates, key=lambda entry: entry.last_use)
-
-    def has_room_or_victim(self, addr):
-        """True when a fill for ``addr`` can proceed now or after an eviction."""
-        if not self.cache.is_set_full(addr):
-            return True
-        return self.stable_victim(addr) is not None

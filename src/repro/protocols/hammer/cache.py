@@ -119,18 +119,6 @@ class HammerCache(CacheControllerBase):
     def _to_dir(self, mtype, addr, port="request", **kw):
         return self._send(mtype, addr, self.dir_name, port, **kw)
 
-    def _fill_room(self, addr):
-        set_index = self.cache.set_index(self.align(addr))
-        occupied = sum(
-            1 for entry in self.cache.entries() if self.cache.set_index(entry.addr) == set_index
-        )
-        reserved = sum(
-            1
-            for tbe in self.tbes
-            if tbe.meta.get("needs_slot") and self.cache.set_index(tbe.addr) == set_index
-        )
-        return self.cache.assoc - occupied - reserved
-
     # -- dispatch ------------------------------------------------------------------
 
     def handle_message(self, port, msg):
@@ -150,12 +138,12 @@ class HammerCache(CacheControllerBase):
         event = HCEvent.Load if msg.mtype is CpuOp.Load else HCEvent.Store
         if state in _TRANSIENT:
             return STALL
-        if state is HCState.I and self._fill_room(addr) <= 0:
-            victim = self.stable_victim(addr)
+        if state is HCState.I and self.cache.fill_room(addr, self.tbes) <= 0:
+            victim = self.cache.stable_victim(addr, self.tbes)
             if victim is not None:
                 synthetic = Message(event, victim.addr, sender=self.name, dest=self.name)
                 self.fire(victim.state, HCEvent.Replacement, synthetic)
-                if self._fill_room(addr) > 0:
+                if self.cache.fill_room(addr, self.tbes) > 0:
                     return self.fire(state, event, msg)
             return RETRY
         return self.fire(state, event, msg)

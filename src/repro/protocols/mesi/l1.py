@@ -13,11 +13,18 @@ Notable races handled here (Sorin et al. style):
   forward, enter ``II_A``, and absorb the directory's WBNack;
 * ``II_A`` + Inv — after an owner downgraded during its own writeback it
   is a sharer again and must still ack invalidations.
+
+The handlers read their vocabulary from class attributes — ``STATE``,
+``EVENT``, ``MSG``, the message-to-event maps and ``FWD_GETS_DATA`` —
+and the rows only MESI has (the PutS eviction through ``SI_A``) sit in
+one hook, :meth:`MesiL1._build_policy_rows`. The MESIF L1
+(:class:`~repro.protocols.mesif.l1.MesifL1`) is this class plus its
+F-state policy.
 """
 
 import enum
 
-from repro.coherence.controller import CONSUMED, RETRY, STALL, ProtocolError
+from repro.coherence.controller import CONSUMED, RETRY, STALL
 from repro.protocols.common import CacheControllerBase, CpuOp
 from repro.protocols.mesi.messages import MesiMsg
 from repro.sim.message import Message
@@ -55,41 +62,49 @@ class L1Event(enum.Enum):
     WBNack = enum.auto()
 
 
-_FORWARD_EVENTS = {
-    MesiMsg.Inv: L1Event.Inv,
-    MesiMsg.Fwd_GetS: L1Event.Fwd_GetS,
-    MesiMsg.Fwd_GetM: L1Event.Fwd_GetM,
-    MesiMsg.Recall: L1Event.Recall,
-    MesiMsg.WBAck: L1Event.WBAck,
-    MesiMsg.WBNack: L1Event.WBNack,
-}
-
-_RESPONSE_EVENTS = {
-    MesiMsg.DataS: L1Event.DataS,
-    MesiMsg.DataE: L1Event.DataE,
-    MesiMsg.DataM: L1Event.DataM,
-    MesiMsg.InvAck: L1Event.InvAck,
-}
-
-_TRANSIENT = {
-    L1State.IS_D,
-    L1State.IM_AD,
-    L1State.IM_A,
-    L1State.SM_AD,
-    L1State.SM_A,
-    L1State.MI_A,
-    L1State.EI_A,
-    L1State.SI_A,
-    L1State.II_A,
-}
-
-
 class MesiL1(CacheControllerBase):
     """Private MESI L1 (one per CPU core)."""
 
     CONTROLLER_TYPE = "mesi_l1"
     PORTS = ("response", "forward", "mandatory")
     INVALID_STATE = L1State.I
+
+    #: the protocol's vocabulary: state, event and message enums
+    STATE = L1State
+    EVENT = L1Event
+    MSG = MesiMsg
+    FORWARD_EVENTS = {
+        MesiMsg.Inv: L1Event.Inv,
+        MesiMsg.Fwd_GetS: L1Event.Fwd_GetS,
+        MesiMsg.Fwd_GetM: L1Event.Fwd_GetM,
+        MesiMsg.Recall: L1Event.Recall,
+        MesiMsg.WBAck: L1Event.WBAck,
+        MesiMsg.WBNack: L1Event.WBNack,
+    }
+    RESPONSE_EVENTS = {
+        MesiMsg.DataS: L1Event.DataS,
+        MesiMsg.DataE: L1Event.DataE,
+        MesiMsg.DataM: L1Event.DataM,
+        MesiMsg.InvAck: L1Event.InvAck,
+    }
+    #: states with a transaction open: CPU requests stall on them
+    TRANSIENT = frozenset({
+        L1State.IS_D,
+        L1State.IM_AD,
+        L1State.IM_A,
+        L1State.SM_AD,
+        L1State.SM_A,
+        L1State.MI_A,
+        L1State.EI_A,
+        L1State.SI_A,
+        L1State.II_A,
+    })
+    #: what an E/M owner sends the requestor of a forwarded GetS
+    FWD_GETS_DATA = MesiMsg.DataS
+    #: stable states whose replacement frees the way at once (none: a
+    #: MESI eviction always waits for the L2's WBAck). A tuple, so the
+    #: membership test costs no enum hashing on the MESI path.
+    SILENT_EVICTIONS = ()
 
     def __init__(self, sim, name, net, l2_name, num_sets=64, assoc=4, block_size=64):
         self.net = net
@@ -105,19 +120,6 @@ class MesiL1(CacheControllerBase):
 
     def _to_l2(self, mtype, addr, port="request", **kw):
         return self._send(mtype, addr, self.l2_name, port, **kw)
-
-    def _fill_room(self, addr):
-        """Free ways in addr's set, net of fills already promised a slot."""
-        set_index = self.cache.set_index(self.align(addr))
-        occupied = sum(
-            1 for entry in self.cache.entries() if self.cache.set_index(entry.addr) == set_index
-        )
-        reserved = sum(
-            1
-            for tbe in self.tbes
-            if tbe.meta.get("needs_slot") and self.cache.set_index(tbe.addr) == set_index
-        )
-        return self.cache.assoc - occupied - reserved
 
     def _finish_read(self, addr, tbe, entry):
         """Complete the CPU load recorded in the TBE."""
@@ -149,11 +151,11 @@ class MesiL1(CacheControllerBase):
         # traffic, so resolve them on the first compare.
         if port == "response":
             return self.fire(
-                self.block_state(msg.addr), _RESPONSE_EVENTS[msg.mtype], msg
+                self.block_state(msg.addr), self.RESPONSE_EVENTS[msg.mtype], msg
             )
         if port == "forward":
             return self.fire(
-                self.block_state(msg.addr), _FORWARD_EVENTS[msg.mtype], msg
+                self.block_state(msg.addr), self.FORWARD_EVENTS[msg.mtype], msg
             )
         if port == "mandatory":
             return self._handle_mandatory(msg)
@@ -162,14 +164,21 @@ class MesiL1(CacheControllerBase):
     def _handle_mandatory(self, msg):
         addr = self.align(msg.addr)
         state = self.block_state(addr)
-        event = L1Event.Load if msg.mtype is CpuOp.Load else L1Event.Store
-        if state in _TRANSIENT:
+        E = self.EVENT
+        event = E.Load if msg.mtype is CpuOp.Load else E.Store
+        if state in self.TRANSIENT:
             return STALL
-        if state is L1State.I and self._fill_room(addr) <= 0:
-            victim = self.stable_victim(addr)
+        if state is self.INVALID_STATE and self.cache.fill_room(addr, self.tbes) <= 0:
+            victim = self.cache.stable_victim(addr, self.tbes)
             if victim is not None:
+                victim_state = victim.state
                 synthetic = Message(event, victim.addr, sender=self.name, dest=self.name)
-                self.fire(victim.state, L1Event.Replacement, synthetic)
+                self.fire(victim_state, E.Replacement, synthetic)
+                # A silent eviction frees the way now: issue the request
+                # at once instead of waiting for a retry.
+                if (victim_state in self.SILENT_EVICTIONS
+                        and self.cache.fill_room(addr, self.tbes) > 0):
+                    return self.fire(state, event, msg)
             return RETRY
         return self.fire(state, event, msg)
 
@@ -177,7 +186,7 @@ class MesiL1(CacheControllerBase):
 
     def _build_transitions(self):
         t = self.transitions
-        S, E = L1State, L1Event
+        S, E = self.STATE, self.EVENT
         # CPU requests on stable states
         t[(S.I, E.Load)] = self._i_load
         t[(S.I, E.Store)] = self._i_store
@@ -187,8 +196,7 @@ class MesiL1(CacheControllerBase):
         t[(S.E, E.Store)] = self._e_store
         t[(S.M, E.Load)] = self._hit_load
         t[(S.M, E.Store)] = self._m_store
-        # replacements
-        t[(S.S, E.Replacement)] = self._s_repl
+        # replacements (S's row is a policy row: MESIF evicts S silently)
         t[(S.E, E.Replacement)] = self._e_repl
         t[(S.M, E.Replacement)] = self._m_repl
         # data/ack responses
@@ -213,35 +221,44 @@ class MesiL1(CacheControllerBase):
         # writeback transients
         t[(S.MI_A, E.WBAck)] = self._wb_done
         t[(S.EI_A, E.WBAck)] = self._wb_done
-        t[(S.SI_A, E.WBAck)] = self._wb_done
         t[(S.MI_A, E.Fwd_GetS)] = self._replacing_fwd_gets
         t[(S.EI_A, E.Fwd_GetS)] = self._replacing_fwd_gets
         t[(S.MI_A, E.Fwd_GetM)] = self._replacing_fwd_getm
         t[(S.EI_A, E.Fwd_GetM)] = self._replacing_fwd_getm
         t[(S.MI_A, E.Recall)] = self._replacing_recall
         t[(S.EI_A, E.Recall)] = self._replacing_recall
-        t[(S.SI_A, E.Inv)] = self._sia_inv
         t[(S.II_A, E.Inv)] = self._iia_inv
         t[(S.II_A, E.WBNack)] = self._wb_done
+        self._build_policy_rows(t, S, E)
+
+    def _build_policy_rows(self, t, S, E):
+        """Rows of the shared-block policy, where MESI's table and MESIF's differ.
+
+        MESI evicts S explicitly: a PutS, then ``SI_A`` until the L2's
+        WBAck, acking any Inv that races it.
+        """
+        t[(S.S, E.Replacement)] = self._s_repl
+        t[(S.SI_A, E.WBAck)] = self._wb_done
+        t[(S.SI_A, E.Inv)] = self._sia_inv
 
     # -- CPU request handlers ---------------------------------------------------
 
     def _i_load(self, msg):
         addr = self.align(msg.addr)
-        tbe = self.tbes.allocate(addr, L1State.IS_D, now=self.sim.tick)
+        tbe = self.tbes.allocate(addr, self.STATE.IS_D, now=self.sim.tick)
         tbe.origin = msg
         tbe.meta["needs_slot"] = True
-        self._to_l2(MesiMsg.GetS, addr)
+        self._to_l2(self.MSG.GetS, addr)
         self.stats.inc("l1_load_misses")
         return CONSUMED
 
     def _i_store(self, msg):
         addr = self.align(msg.addr)
-        tbe = self.tbes.allocate(addr, L1State.IM_AD, now=self.sim.tick)
+        tbe = self.tbes.allocate(addr, self.STATE.IM_AD, now=self.sim.tick)
         tbe.origin = msg
         tbe.meta["needs_slot"] = True
         tbe.acks_needed = None
-        self._to_l2(MesiMsg.GetM, addr)
+        self._to_l2(self.MSG.GetM, addr)
         self.stats.inc("l1_store_misses")
         return CONSUMED
 
@@ -253,16 +270,16 @@ class MesiL1(CacheControllerBase):
 
     def _s_store(self, msg):
         addr = self.align(msg.addr)
-        tbe = self.tbes.allocate(addr, L1State.SM_AD, now=self.sim.tick)
+        tbe = self.tbes.allocate(addr, self.STATE.SM_AD, now=self.sim.tick)
         tbe.origin = msg
         tbe.acks_needed = None
-        self._to_l2(MesiMsg.GetM, addr)
+        self._to_l2(self.MSG.GetM, addr)
         self.stats.inc("l1_upgrade_misses")
         return CONSUMED
 
     def _e_store(self, msg):
         entry = self.cache.lookup(msg.addr)
-        entry.state = L1State.M  # silent E->M upgrade
+        entry.state = self.STATE.M  # silent E->M upgrade
         entry.data.write_byte(self.offset(msg.addr), msg.value)
         entry.dirty = True
         self.respond_to_cpu(msg, entry.data)
@@ -280,24 +297,24 @@ class MesiL1(CacheControllerBase):
 
     def _s_repl(self, msg):
         addr = msg.addr
-        self.tbes.allocate(addr, L1State.SI_A, now=self.sim.tick)
-        self._to_l2(MesiMsg.PutS, addr)
+        self.tbes.allocate(addr, self.STATE.SI_A, now=self.sim.tick)
+        self._to_l2(self.MSG.PutS, addr)
         self.stats.inc("l1_puts")
         return CONSUMED
 
     def _e_repl(self, msg):
         addr = msg.addr
         entry = self.cache.lookup(addr, touch=False)
-        self.tbes.allocate(addr, L1State.EI_A, now=self.sim.tick)
-        self._to_l2(MesiMsg.PutE, addr, data=entry.data.copy(), dirty=False)
+        self.tbes.allocate(addr, self.STATE.EI_A, now=self.sim.tick)
+        self._to_l2(self.MSG.PutE, addr, data=entry.data.copy(), dirty=False)
         self.stats.inc("l1_pute")
         return CONSUMED
 
     def _m_repl(self, msg):
         addr = msg.addr
         entry = self.cache.lookup(addr, touch=False)
-        self.tbes.allocate(addr, L1State.MI_A, now=self.sim.tick)
-        self._to_l2(MesiMsg.PutM, addr, data=entry.data.copy(), dirty=True)
+        self.tbes.allocate(addr, self.STATE.MI_A, now=self.sim.tick)
+        self._to_l2(self.MSG.PutM, addr, data=entry.data.copy(), dirty=True)
         self.stats.inc("l1_putm")
         return CONSUMED
 
@@ -306,18 +323,18 @@ class MesiL1(CacheControllerBase):
     def _isd_data_s(self, msg):
         addr = msg.addr
         tbe = self.tbes.lookup(addr)
-        entry = self.cache.allocate(addr, L1State.S, data=msg.data.copy())
+        entry = self.cache.allocate(addr, self.STATE.S, data=msg.data.copy())
         self._finish_read(addr, tbe, entry)
-        self._to_l2(MesiMsg.UnblockS, addr, port="response")
+        self._to_l2(self.MSG.UnblockS, addr, port="response")
         self._close(addr)
         return CONSUMED
 
     def _isd_data_e(self, msg):
         addr = msg.addr
         tbe = self.tbes.lookup(addr)
-        entry = self.cache.allocate(addr, L1State.E, data=msg.data.copy())
+        entry = self.cache.allocate(addr, self.STATE.E, data=msg.data.copy())
         self._finish_read(addr, tbe, entry)
-        self._to_l2(MesiMsg.UnblockX, addr, port="response")
+        self._to_l2(self.MSG.UnblockX, addr, port="response")
         self._close(addr)
         return CONSUMED
 
@@ -325,9 +342,9 @@ class MesiL1(CacheControllerBase):
         # Dirty-migration grant: L2 hands over its dirty copy on a GetS.
         addr = msg.addr
         tbe = self.tbes.lookup(addr)
-        entry = self.cache.allocate(addr, L1State.M, data=msg.data.copy(), dirty=True)
+        entry = self.cache.allocate(addr, self.STATE.M, data=msg.data.copy(), dirty=True)
         self._finish_read(addr, tbe, entry)
-        self._to_l2(MesiMsg.UnblockX, addr, port="response")
+        self._to_l2(self.MSG.UnblockX, addr, port="response")
         self._close(addr)
         return CONSUMED
 
@@ -341,7 +358,8 @@ class MesiL1(CacheControllerBase):
         if tbe.acks_received >= tbe.acks_needed:
             self._complete_store(addr, tbe)
         else:
-            tbe.state = L1State.IM_A if tbe.state is L1State.IM_AD else L1State.SM_A
+            S = self.STATE
+            tbe.state = S.IM_A if tbe.state is S.IM_AD else S.SM_A
         return CONSUMED
 
     def _count_ack(self, msg):
@@ -359,25 +377,25 @@ class MesiL1(CacheControllerBase):
     def _complete_store(self, addr, tbe):
         entry = self.cache.lookup(addr, touch=False)
         if entry is None:
-            entry = self.cache.allocate(addr, L1State.M, data=tbe.data)
+            entry = self.cache.allocate(addr, self.STATE.M, data=tbe.data)
         else:
-            entry.state = L1State.M
+            entry.state = self.STATE.M
             if tbe.data is not None:
                 entry.data = tbe.data
         entry.dirty = True
         self._finish_write(addr, tbe, entry)
-        self._to_l2(MesiMsg.UnblockX, addr, port="response")
+        self._to_l2(self.MSG.UnblockX, addr, port="response")
         self._close(addr)
 
     def _smad_inv(self, msg):
         """Upgrade lost the race: ack the winner, restart as a plain GetM."""
         addr = msg.addr
         tbe = self.tbes.lookup(addr)
-        self._send(MesiMsg.InvAck, addr, msg.requestor, "response")
+        self._send(self.MSG.InvAck, addr, msg.requestor, "response")
         entry = self.cache.lookup(addr, touch=False)
         if entry is not None:
             self.cache.deallocate(addr)
-        tbe.state = L1State.IM_AD
+        tbe.state = self.STATE.IM_AD
         tbe.meta["needs_slot"] = True
         tbe.data = None
         return CONSUMED
@@ -386,7 +404,7 @@ class MesiL1(CacheControllerBase):
 
     def _s_inv(self, msg):
         addr = msg.addr
-        self._send(MesiMsg.InvAck, addr, msg.requestor, "response")
+        self._send(self.MSG.InvAck, addr, msg.requestor, "response")
         self.cache.deallocate(addr)
         return CONSUMED
 
@@ -394,11 +412,11 @@ class MesiL1(CacheControllerBase):
         """E/M owner downgrades to S; data to requestor, CopyBack to L2."""
         addr = msg.addr
         entry = self.cache.lookup(addr, touch=False)
-        self._send(MesiMsg.DataS, addr, msg.requestor, "response", data=entry.data.copy())
+        self._send(self.FWD_GETS_DATA, addr, msg.requestor, "response", data=entry.data.copy())
         self._to_l2(
-            MesiMsg.CopyBack, addr, port="response", data=entry.data.copy(), dirty=entry.dirty
+            self.MSG.CopyBack, addr, port="response", data=entry.data.copy(), dirty=entry.dirty
         )
-        entry.state = L1State.S
+        entry.state = self.STATE.S
         entry.dirty = False
         return CONSUMED
 
@@ -406,7 +424,7 @@ class MesiL1(CacheControllerBase):
         addr = msg.addr
         entry = self.cache.lookup(addr, touch=False)
         self._send(
-            MesiMsg.DataM,
+            self.MSG.DataM,
             addr,
             msg.requestor,
             "response",
@@ -421,7 +439,7 @@ class MesiL1(CacheControllerBase):
         addr = msg.addr
         entry = self.cache.lookup(addr, touch=False)
         self._to_l2(
-            MesiMsg.CopyBackInv, addr, port="response", data=entry.data.copy(), dirty=entry.dirty
+            self.MSG.CopyBackInv, addr, port="response", data=entry.data.copy(), dirty=entry.dirty
         )
         self.cache.deallocate(addr)
         return CONSUMED
@@ -440,11 +458,11 @@ class MesiL1(CacheControllerBase):
         addr = msg.addr
         tbe = self.tbes.lookup(addr)
         entry = self.cache.lookup(addr, touch=False)
-        self._send(MesiMsg.DataS, addr, msg.requestor, "response", data=entry.data.copy())
+        self._send(self.FWD_GETS_DATA, addr, msg.requestor, "response", data=entry.data.copy())
         self._to_l2(
-            MesiMsg.CopyBack, addr, port="response", data=entry.data.copy(), dirty=entry.dirty
+            self.MSG.CopyBack, addr, port="response", data=entry.data.copy(), dirty=entry.dirty
         )
-        tbe.state = L1State.II_A
+        tbe.state = self.STATE.II_A
         return CONSUMED
 
     def _replacing_fwd_getm(self, msg):
@@ -452,7 +470,7 @@ class MesiL1(CacheControllerBase):
         tbe = self.tbes.lookup(addr)
         entry = self.cache.lookup(addr, touch=False)
         self._send(
-            MesiMsg.DataM,
+            self.MSG.DataM,
             addr,
             msg.requestor,
             "response",
@@ -460,7 +478,7 @@ class MesiL1(CacheControllerBase):
             dirty=entry.dirty,
             ack_count=0,
         )
-        tbe.state = L1State.II_A
+        tbe.state = self.STATE.II_A
         return CONSUMED
 
     def _replacing_recall(self, msg):
@@ -468,19 +486,19 @@ class MesiL1(CacheControllerBase):
         tbe = self.tbes.lookup(addr)
         entry = self.cache.lookup(addr, touch=False)
         self._to_l2(
-            MesiMsg.CopyBackInv, addr, port="response", data=entry.data.copy(), dirty=entry.dirty
+            self.MSG.CopyBackInv, addr, port="response", data=entry.data.copy(), dirty=entry.dirty
         )
-        tbe.state = L1State.II_A
+        tbe.state = self.STATE.II_A
         return CONSUMED
 
     def _sia_inv(self, msg):
         addr = msg.addr
         tbe = self.tbes.lookup(addr)
-        self._send(MesiMsg.InvAck, addr, msg.requestor, "response")
-        tbe.state = L1State.II_A
+        self._send(self.MSG.InvAck, addr, msg.requestor, "response")
+        tbe.state = self.STATE.II_A
         return CONSUMED
 
     def _iia_inv(self, msg):
         """Still a sharer on L2's books after a downgrade; keep acking."""
-        self._send(MesiMsg.InvAck, msg.addr, msg.requestor, "response")
+        self._send(self.MSG.InvAck, msg.addr, msg.requestor, "response")
         return CONSUMED

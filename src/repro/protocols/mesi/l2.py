@@ -14,15 +14,25 @@ Transactional Crossing Guard:
   L2 acks the requestor on the accelerator's behalf;
 * a GetM/GetS from the cache the directory already considers owner is
   served gracefully instead of being a protocol error.
+
+As in the L1, the handlers read their vocabulary from class attributes
+(``STATE``, ``EVENT``, ``MSG`` and the message-to-event maps), so the
+MESIF L2 (:class:`~repro.protocols.mesif.l2.MesifL2`) is this class plus
+its F-state policy. The one MESI-only row, the exact PutS, sits in the
+hook :meth:`MesiL2._build_policy_rows`.
 """
 
 import enum
 
-from repro.coherence.controller import CONSUMED, RETRY, STALL, ProtocolError
+from repro.coherence.controller import (
+    CONSUMED,
+    RETRY,
+    STALL,
+    CoherenceController,
+    ProtocolError,
+)
 from repro.coherence.tbe import TBETable
 from repro.memory.cache_array import CacheArray
-from repro.coherence.controller import CoherenceController
-from repro.memory.datablock import block_align
 from repro.protocols.mesi.messages import MesiMsg
 from repro.sim.message import Message
 
@@ -54,26 +64,31 @@ class L2Event(enum.Enum):
     Replacement = enum.auto()
 
 
-_GET_EVENTS = {
-    MesiMsg.GetS: L2Event.GetS,
-    MesiMsg.GetM: L2Event.GetM,
-    MesiMsg.GetS_Only: L2Event.GetS_Only,
-}
-_PUT_TYPES = {MesiMsg.PutS, MesiMsg.PutE, MesiMsg.PutM}
-_RESPONSE_EVENTS = {
-    MesiMsg.UnblockS: L2Event.UnblockS,
-    MesiMsg.UnblockX: L2Event.UnblockX,
-    MesiMsg.CopyBack: L2Event.CopyBack,
-    MesiMsg.CopyBackInv: L2Event.CopyBackInv,
-    MesiMsg.InvAck: L2Event.InvAck,
-}
-
-
 class MesiL2(CoherenceController):
     """Shared inclusive L2 / directory for the MESI two-level protocol."""
 
     CONTROLLER_TYPE = "mesi_l2"
     PORTS = ("response", "request")
+
+    #: the protocol's vocabulary: state, event and message enums
+    STATE = L2State
+    EVENT = L2Event
+    MSG = MesiMsg
+    GET_EVENTS = {
+        MesiMsg.GetS: L2Event.GetS,
+        MesiMsg.GetM: L2Event.GetM,
+        MesiMsg.GetS_Only: L2Event.GetS_Only,
+    }
+    PUT_TYPES = frozenset({MesiMsg.PutS, MesiMsg.PutE, MesiMsg.PutM})
+    RESPONSE_EVENTS = {
+        MesiMsg.UnblockS: L2Event.UnblockS,
+        MesiMsg.UnblockX: L2Event.UnblockX,
+        MesiMsg.CopyBack: L2Event.CopyBack,
+        MesiMsg.CopyBackInv: L2Event.CopyBackInv,
+        MesiMsg.InvAck: L2Event.InvAck,
+    }
+    #: states with a transaction open: requests stall on them
+    TRANSIENT = (L2State.IV, L2State.BUSY, L2State.EV_ACK, L2State.EV_DATA)
 
     def __init__(
         self,
@@ -96,9 +111,6 @@ class MesiL2(CoherenceController):
 
     # -- helpers -----------------------------------------------------------------
 
-    def align(self, addr):
-        return block_align(addr, self.block_size)
-
     def _send(self, mtype, addr, dest, port, **kw):
         msg = Message(mtype, addr, sender=self.name, dest=dest, **kw)
         self.net.send(msg, port)
@@ -110,31 +122,8 @@ class MesiL2(CoherenceController):
             return tbe.state
         entry = self.cache.lookup(addr, touch=False)
         if entry is None:
-            return L2State.NP
+            return self.STATE.NP
         return entry.state
-
-    def _fill_room(self, addr):
-        set_index = self.cache.set_index(self.align(addr))
-        occupied = sum(
-            1 for entry in self.cache.entries() if self.cache.set_index(entry.addr) == set_index
-        )
-        reserved = sum(
-            1
-            for tbe in self.tbes
-            if tbe.meta.get("needs_slot") and self.cache.set_index(tbe.addr) == set_index
-        )
-        return self.cache.assoc - occupied - reserved
-
-    def _stable_victim(self, addr):
-        set_index = self.cache.set_index(self.align(addr))
-        candidates = [
-            entry
-            for entry in self.cache.entries()
-            if self.cache.set_index(entry.addr) == set_index and entry.addr not in self.tbes
-        ]
-        if not candidates:
-            return None
-        return min(candidates, key=lambda entry: entry.last_use)
 
     # -- dispatch --------------------------------------------------------------------
 
@@ -144,44 +133,49 @@ class MesiL2(CoherenceController):
         # Monomorphic fast path: data/ack/unblock responses dominate
         # steady-state traffic, so resolve them on the first compare.
         if port == "response":
-            return self.fire(state, _RESPONSE_EVENTS[msg.mtype], msg)
+            return self.fire(state, self.RESPONSE_EVENTS[msg.mtype], msg)
         # request port
-        if state in (L2State.IV, L2State.BUSY, L2State.EV_ACK, L2State.EV_DATA):
+        if state in self.TRANSIENT:
             return STALL
-        if msg.mtype in _GET_EVENTS:
-            event = _GET_EVENTS[msg.mtype]
-            if state is L2State.NP and self._fill_room(addr) <= 0:
-                victim = self._stable_victim(addr)
+        get_events = self.GET_EVENTS
+        if msg.mtype in get_events:
+            event = get_events[msg.mtype]
+            if state is self.STATE.NP and self.cache.fill_room(addr, self.tbes) <= 0:
+                victim = self.cache.stable_victim(addr, self.tbes)
                 if victim is not None:
+                    replacement = self.EVENT.Replacement
                     synthetic = Message(
-                        L2Event.Replacement, victim.addr, sender=self.name, dest=self.name
+                        replacement, victim.addr, sender=self.name, dest=self.name
                     )
-                    self.fire(victim.state, L2Event.Replacement, synthetic)
-                if self._fill_room(addr) <= 0:
+                    self.fire(victim.state, replacement, synthetic)
+                if self.cache.fill_room(addr, self.tbes) <= 0:
                     # Eviction is in flight (or impossible right now);
                     # its completion rescans this port.
                     return RETRY
             return self.fire(state, event, msg)
-        if msg.mtype in _PUT_TYPES:
+        if msg.mtype in self.PUT_TYPES:
             event = self._classify_put(msg, state)
             return self.fire(state, event, msg)
         raise ProtocolError(self, state, msg.mtype, msg, note="bad request type")
 
     def _classify_put(self, msg, state):
+        """The owner's PutE/PutM and a listed sharer's PutS are current;
+        any other Put lost a race and is PutStale."""
+        S, E, M = self.STATE, self.EVENT, self.MSG
         entry = self.cache.lookup(msg.addr, touch=False)
-        if state is L2State.X and msg.mtype in (MesiMsg.PutM, MesiMsg.PutE):
+        if state is S.X and msg.mtype in (M.PutM, M.PutE):
             if entry.meta["owner"] == msg.sender:
-                return L2Event.PutM if msg.mtype is MesiMsg.PutM else L2Event.PutE
-        if state is L2State.V and msg.mtype is MesiMsg.PutS:
+                return E.PutM if msg.mtype is M.PutM else E.PutE
+        if state is S.V and msg.mtype is M.PutS:
             if msg.sender in entry.meta["sharers"]:
-                return L2Event.PutS
-        return L2Event.PutStale
+                return E.PutS
+        return E.PutStale
 
     # -- transition table ----------------------------------------------------------------
 
     def _build_transitions(self):
         t = self.transitions
-        S, E = L2State, L2Event
+        S, E = self.STATE, self.EVENT
         t[(S.NP, E.GetS)] = self._np_get
         t[(S.NP, E.GetM)] = self._np_get
         t[(S.NP, E.GetS_Only)] = self._np_get
@@ -191,7 +185,6 @@ class MesiL2(CoherenceController):
         t[(S.X, E.GetS)] = self._x_gets
         t[(S.X, E.GetS_Only)] = self._x_gets
         t[(S.X, E.GetM)] = self._x_getm
-        t[(S.V, E.PutS)] = self._v_puts
         t[(S.X, E.PutM)] = self._x_put
         t[(S.X, E.PutE)] = self._x_put
         t[(S.NP, E.PutStale)] = self._put_stale
@@ -209,12 +202,20 @@ class MesiL2(CoherenceController):
         # Reachable only via a misbehaving accelerator behind Transactional
         # XG (Section 3.2.2 tolerance); excluded from baseline coverage.
         self.coverage_exempt.add((S.EV_ACK, E.CopyBack))
+        self._build_policy_rows(t, S, E)
+
+    def _build_policy_rows(self, t, S, E):
+        """Rows of the shared-block policy, where MESI's table and MESIF's differ.
+
+        MESI sharers leave explicitly with a PutS, so the sharer list is exact.
+        """
+        t[(S.V, E.PutS)] = self._v_puts
 
     # -- request handlers ----------------------------------------------------------
 
     def _np_get(self, msg):
         addr = msg.addr
-        tbe = self.tbes.allocate(addr, L2State.IV, now=self.sim.tick)
+        tbe = self.tbes.allocate(addr, self.STATE.IV, now=self.sim.tick)
         tbe.requestor = msg.sender
         tbe.meta["needs_slot"] = True
         tbe.meta["op"] = msg.mtype
@@ -224,46 +225,46 @@ class MesiL2(CoherenceController):
 
     def _mem_data_arrived(self, addr):
         tbe = self.tbes.lookup(addr)
-        synthetic = Message(L2Event.MemData, addr, sender="memory", dest=self.name)
+        synthetic = Message(self.EVENT.MemData, addr, sender="memory", dest=self.name)
         synthetic.data = self.memory.read(addr)
-        self.fire(tbe.state, L2Event.MemData, synthetic)
+        self.fire(tbe.state, self.EVENT.MemData, synthetic)
         self.request_wakeup()
 
     def _iv_mem_data(self, msg):
         addr = msg.addr
         tbe = self.tbes.lookup(addr)
-        entry = self.cache.allocate(addr, L2State.V, data=msg.data)
+        entry = self.cache.allocate(addr, self.STATE.V, data=msg.data)
         entry.meta["sharers"] = set()
         entry.meta["owner"] = None
         tbe.meta["needs_slot"] = False
         op = tbe.meta["op"]
-        if op is MesiMsg.GetM:
+        if op is self.MSG.GetM:
             self._send(
-                MesiMsg.DataM,
+                self.MSG.DataM,
                 addr,
                 tbe.requestor,
                 "response",
                 data=entry.data.copy(),
                 ack_count=0,
             )
-        elif op is MesiMsg.GetS_Only:
-            self._send(MesiMsg.DataS, addr, tbe.requestor, "response", data=entry.data.copy())
+        elif op is self.MSG.GetS_Only:
+            self._send(self.MSG.DataS, addr, tbe.requestor, "response", data=entry.data.copy())
         else:  # GetS with no sharers: grant E
-            self._send(MesiMsg.DataE, addr, tbe.requestor, "response", data=entry.data.copy())
-        tbe.state = L2State.BUSY
+            self._send(self.MSG.DataE, addr, tbe.requestor, "response", data=entry.data.copy())
+        tbe.state = self.STATE.BUSY
         return CONSUMED
 
     def _v_gets(self, msg):
         addr = msg.addr
         entry = self.cache.lookup(addr)
-        tbe = self.tbes.allocate(addr, L2State.BUSY, now=self.sim.tick)
+        tbe = self.tbes.allocate(addr, self.STATE.BUSY, now=self.sim.tick)
         tbe.requestor = msg.sender
         tbe.meta["op"] = msg.mtype
         if not entry.meta["sharers"]:
             if entry.dirty:
                 # Dirty-migration grant: hand the dirty block over in M.
                 self._send(
-                    MesiMsg.DataM,
+                    self.MSG.DataM,
                     addr,
                     msg.sender,
                     "response",
@@ -274,32 +275,32 @@ class MesiL2(CoherenceController):
                 self.stats.inc("l2_dirty_grants")
             else:
                 self._send(
-                    MesiMsg.DataE, addr, msg.sender, "response", data=entry.data.copy()
+                    self.MSG.DataE, addr, msg.sender, "response", data=entry.data.copy()
                 )
         else:
-            self._send(MesiMsg.DataS, addr, msg.sender, "response", data=entry.data.copy())
+            self._send(self.MSG.DataS, addr, msg.sender, "response", data=entry.data.copy())
         return CONSUMED
 
     def _v_gets_only(self, msg):
         addr = msg.addr
         entry = self.cache.lookup(addr)
-        tbe = self.tbes.allocate(addr, L2State.BUSY, now=self.sim.tick)
+        tbe = self.tbes.allocate(addr, self.STATE.BUSY, now=self.sim.tick)
         tbe.requestor = msg.sender
         tbe.meta["op"] = msg.mtype
-        self._send(MesiMsg.DataS, addr, msg.sender, "response", data=entry.data.copy())
+        self._send(self.MSG.DataS, addr, msg.sender, "response", data=entry.data.copy())
         return CONSUMED
 
     def _v_getm(self, msg):
         addr = msg.addr
         entry = self.cache.lookup(addr)
-        tbe = self.tbes.allocate(addr, L2State.BUSY, now=self.sim.tick)
+        tbe = self.tbes.allocate(addr, self.STATE.BUSY, now=self.sim.tick)
         tbe.requestor = msg.sender
         tbe.meta["op"] = msg.mtype
         to_invalidate = entry.meta["sharers"] - {msg.sender}
         for sharer in sorted(to_invalidate):
-            self._send(MesiMsg.Inv, addr, sharer, "forward", requestor=msg.sender)
+            self._send(self.MSG.Inv, addr, sharer, "forward", requestor=msg.sender)
         self._send(
-            MesiMsg.DataM,
+            self.MSG.DataM,
             addr,
             msg.sender,
             "response",
@@ -318,13 +319,15 @@ class MesiL2(CoherenceController):
             # Only a misbehaving accelerator behind Transactional XG does
             # this; a correct L1 already holds the block.
             if not self.xg_tolerant:
-                raise ProtocolError(self, L2State.X, L2Event.GetS, msg, note="GetS from owner")
+                raise ProtocolError(
+                    self, self.STATE.X, self.EVENT.GetS, msg, note="GetS from owner"
+                )
             self.note_protocol_anomaly("GetS from current owner", msg)
-            tbe = self.tbes.allocate(addr, L2State.BUSY, now=self.sim.tick)
+            tbe = self.tbes.allocate(addr, self.STATE.BUSY, now=self.sim.tick)
             tbe.requestor = msg.sender
             tbe.meta["op"] = msg.mtype
             self._send(
-                MesiMsg.DataM,
+                self.MSG.DataM,
                 addr,
                 msg.sender,
                 "response",
@@ -333,11 +336,11 @@ class MesiL2(CoherenceController):
                 ack_count=0,
             )
             return CONSUMED
-        tbe = self.tbes.allocate(addr, L2State.BUSY, now=self.sim.tick)
+        tbe = self.tbes.allocate(addr, self.STATE.BUSY, now=self.sim.tick)
         tbe.requestor = msg.sender
         tbe.meta["op"] = msg.mtype
         tbe.meta["need_copyback"] = True
-        fwd = MesiMsg.Fwd_GetS
+        fwd = self.MSG.Fwd_GetS
         self._send(fwd, addr, owner, "forward", requestor=msg.sender)
         return CONSUMED
 
@@ -347,13 +350,15 @@ class MesiL2(CoherenceController):
         owner = entry.meta["owner"]
         if owner == msg.sender:
             if not self.xg_tolerant:
-                raise ProtocolError(self, L2State.X, L2Event.GetM, msg, note="GetM from owner")
+                raise ProtocolError(
+                    self, self.STATE.X, self.EVENT.GetM, msg, note="GetM from owner"
+                )
             self.note_protocol_anomaly("GetM from current owner", msg)
-            tbe = self.tbes.allocate(addr, L2State.BUSY, now=self.sim.tick)
+            tbe = self.tbes.allocate(addr, self.STATE.BUSY, now=self.sim.tick)
             tbe.requestor = msg.sender
             tbe.meta["op"] = msg.mtype
             self._send(
-                MesiMsg.DataM,
+                self.MSG.DataM,
                 addr,
                 msg.sender,
                 "response",
@@ -362,10 +367,10 @@ class MesiL2(CoherenceController):
                 ack_count=0,
             )
             return CONSUMED
-        tbe = self.tbes.allocate(addr, L2State.BUSY, now=self.sim.tick)
+        tbe = self.tbes.allocate(addr, self.STATE.BUSY, now=self.sim.tick)
         tbe.requestor = msg.sender
         tbe.meta["op"] = msg.mtype
-        self._send(MesiMsg.Fwd_GetM, addr, owner, "forward", requestor=msg.sender)
+        self._send(self.MSG.Fwd_GetM, addr, owner, "forward", requestor=msg.sender)
         return CONSUMED
 
     # -- writebacks --------------------------------------------------------------------
@@ -373,17 +378,17 @@ class MesiL2(CoherenceController):
     def _v_puts(self, msg):
         entry = self.cache.lookup(msg.addr, touch=False)
         entry.meta["sharers"].discard(msg.sender)
-        self._send(MesiMsg.WBAck, msg.addr, msg.sender, "forward")
+        self._send(self.MSG.WBAck, msg.addr, msg.sender, "forward")
         self.stats.inc("l2_puts_accepted")
         return CONSUMED
 
     def _x_put(self, msg):
         entry = self.cache.lookup(msg.addr, touch=False)
         entry.data = msg.data.copy()
-        entry.dirty = msg.mtype is MesiMsg.PutM
+        entry.dirty = msg.mtype is self.MSG.PutM
         entry.meta["owner"] = None
-        entry.state = L2State.V
-        self._send(MesiMsg.WBAck, msg.addr, msg.sender, "forward")
+        entry.state = self.STATE.V
+        self._send(self.MSG.WBAck, msg.addr, msg.sender, "forward")
         self.stats.inc("l2_writebacks_accepted")
         return CONSUMED
 
@@ -392,7 +397,7 @@ class MesiL2(CoherenceController):
         entry = self.cache.lookup(msg.addr, touch=False)
         if entry is not None:
             entry.meta["sharers"].discard(msg.sender)
-        self._send(MesiMsg.WBNack, msg.addr, msg.sender, "forward")
+        self._send(self.MSG.WBNack, msg.addr, msg.sender, "forward")
         self.stats.inc("l2_stale_puts")
         return CONSUMED
 
@@ -401,7 +406,7 @@ class MesiL2(CoherenceController):
     def _busy_unblock(self, msg):
         tbe = self.tbes.lookup(msg.addr)
         tbe.meta["got_unblock"] = True
-        tbe.meta["unblock_exclusive"] = msg.mtype is MesiMsg.UnblockX
+        tbe.meta["unblock_exclusive"] = msg.mtype is self.MSG.UnblockX
         self._maybe_close(msg.addr)
         return CONSUMED
 
@@ -414,10 +419,10 @@ class MesiL2(CoherenceController):
             # (Section 3.2.2): ack the requestor on its behalf.
             if not self.xg_tolerant:
                 raise ProtocolError(
-                    self, L2State.BUSY, L2Event.CopyBack, msg, note="unexpected copyback"
+                    self, self.STATE.BUSY, self.EVENT.CopyBack, msg, note="unexpected copyback"
                 )
             self.note_protocol_anomaly("copyback instead of InvAck; acking requestor", msg)
-            self._send(MesiMsg.InvAck, addr, tbe.requestor, "response")
+            self._send(self.MSG.InvAck, addr, tbe.requestor, "response")
             return CONSUMED
         entry.data = msg.data.copy()
         entry.dirty = msg.dirty
@@ -437,12 +442,12 @@ class MesiL2(CoherenceController):
         if tbe.meta["unblock_exclusive"]:
             entry.meta["sharers"] = set()
             entry.meta["owner"] = tbe.requestor
-            entry.state = L2State.X
+            entry.state = self.STATE.X
             entry.dirty = False
         else:
             entry.meta["sharers"].add(tbe.requestor)
             if entry.meta["owner"] is None:
-                entry.state = L2State.V
+                entry.state = self.STATE.V
         self.tbes.deallocate(addr)
         self.wake_stalled(addr)
 
@@ -458,18 +463,18 @@ class MesiL2(CoherenceController):
             self.cache.deallocate(addr)
             self.stats.inc("l2_evictions")
             return CONSUMED
-        tbe = self.tbes.allocate(addr, L2State.EV_ACK, now=self.sim.tick)
+        tbe = self.tbes.allocate(addr, self.STATE.EV_ACK, now=self.sim.tick)
         tbe.acks_needed = len(sharers)
         for sharer in sorted(sharers):
-            self._send(MesiMsg.Inv, addr, sharer, "forward", requestor=self.name)
+            self._send(self.MSG.Inv, addr, sharer, "forward", requestor=self.name)
         self.stats.inc("l2_recall_invs", len(sharers))
         return CONSUMED
 
     def _x_repl(self, msg):
         addr = msg.addr
         entry = self.cache.lookup(addr, touch=False)
-        self.tbes.allocate(addr, L2State.EV_DATA, now=self.sim.tick)
-        self._send(MesiMsg.Recall, addr, entry.meta["owner"], "forward")
+        self.tbes.allocate(addr, self.STATE.EV_DATA, now=self.sim.tick)
+        self._send(self.MSG.Recall, addr, entry.meta["owner"], "forward")
         self.stats.inc("l2_recalls")
         return CONSUMED
 
@@ -496,7 +501,7 @@ class MesiL2(CoherenceController):
         """
         if not self.xg_tolerant:
             raise ProtocolError(
-                self, L2State.EV_ACK, L2Event.CopyBack, msg, note="data on eviction Inv"
+                self, self.STATE.EV_ACK, self.EVENT.CopyBack, msg, note="data on eviction Inv"
             )
         self.note_protocol_anomaly("copyback counted as eviction InvAck", msg)
         return self._ev_ack(msg)

@@ -14,6 +14,10 @@ two-level design:
 * a stale forward (the F holder dropped the block silently) is answered
   with an FNack and the L2 serves the data itself.
 
+:class:`MesifL1` and :class:`MesifL2` subclass the MESI L1 and L2 and
+hold only this F-state policy; their state, event and message enums stay
+separate (MESIF has no ``PutS`` and no ``SI_A``).
+
 Crossing Guard integration: the accelerator interface cannot express F
 (an F holder must later supply data, which a Transactional XG cannot),
 so :class:`~repro.xg.mesif_xg.MesifCrossingGuard` accepts F grants as

@@ -1,21 +1,23 @@
-"""MESIF private L1 controller.
+"""MESIF private L1 controller: the MESI L1 plus the F-state policy.
 
-Differences from the MESI L1 (`repro.protocols.mesi.l1`):
+:class:`~repro.protocols.mesi.l1.MesiL1` supplies every shared row and
+handler; this class holds only the deltas:
 
 * stable state **F**: a clean shared copy designated to answer
   ``Fwd_GetS_F`` probes with a cache-to-cache ``DataF`` transfer; the
-  requestor inherits F (Intel behavior) and this cache drops to S;
+  requestor inherits F (Intel behavior) and this cache drops to S. A
+  ``DataF`` fill enters F and sends ``UnblockF``, and an E/M owner
+  (or one mid-replacement) answers a forwarded GetS with ``DataF``;
 * S and F replace **silently** — no PutS, no SI_A transient — so an
-  ``Inv`` (or a stale ``Fwd_GetS_F``) can legitimately arrive in I and is
-  answered with InvAck / FNack.
+  ``Inv`` (or a stale ``Fwd_GetS_F``) can legitimately arrive in I or a
+  fill transient and is answered with InvAck / FNack.
 """
 
 import enum
 
-from repro.coherence.controller import CONSUMED, RETRY, STALL
-from repro.protocols.common import CacheControllerBase, CpuOp
+from repro.coherence.controller import CONSUMED
+from repro.protocols.mesi.l1 import MesiL1
 from repro.protocols.mesif.messages import MesifMsg
-from repro.sim.message import Message
 
 
 class FL1State(enum.Enum):
@@ -52,121 +54,53 @@ class FL1Event(enum.Enum):
     WBNack = enum.auto()
 
 
-_FORWARD_EVENTS = {
-    MesifMsg.Inv: FL1Event.Inv,
-    MesifMsg.Fwd_GetS_F: FL1Event.Fwd_GetS_F,
-    MesifMsg.Fwd_GetS: FL1Event.Fwd_GetS,
-    MesifMsg.Fwd_GetM: FL1Event.Fwd_GetM,
-    MesifMsg.Recall: FL1Event.Recall,
-    MesifMsg.WBAck: FL1Event.WBAck,
-    MesifMsg.WBNack: FL1Event.WBNack,
-}
-_RESPONSE_EVENTS = {
-    MesifMsg.DataS: FL1Event.DataS,
-    MesifMsg.DataF: FL1Event.DataF,
-    MesifMsg.DataE: FL1Event.DataE,
-    MesifMsg.DataM: FL1Event.DataM,
-    MesifMsg.InvAck: FL1Event.InvAck,
-}
-_TRANSIENT = {
-    FL1State.IS_D,
-    FL1State.IM_AD,
-    FL1State.IM_A,
-    FL1State.SM_AD,
-    FL1State.SM_A,
-    FL1State.MI_A,
-    FL1State.EI_A,
-    FL1State.II_A,
-}
-
-
-class MesifL1(CacheControllerBase):
+class MesifL1(MesiL1):
     """Private MESIF L1 (one per CPU core)."""
 
     CONTROLLER_TYPE = "mesif_l1"
-    PORTS = ("response", "forward", "mandatory")
     INVALID_STATE = FL1State.I
 
-    def __init__(self, sim, name, net, l2_name, num_sets=64, assoc=4, block_size=64):
-        self.net = net
-        self.l2_name = l2_name
-        super().__init__(sim, name, num_sets=num_sets, assoc=assoc, block_size=block_size)
-
-    # -- helpers ----------------------------------------------------------------
-
-    def _send(self, mtype, addr, dest, port, **kw):
-        msg = Message(mtype, addr, sender=self.name, dest=dest, **kw)
-        self.net.send(msg, port)
-        return msg
-
-    def _to_l2(self, mtype, addr, port="request", **kw):
-        return self._send(mtype, addr, self.l2_name, port, **kw)
-
-    def _fill_room(self, addr):
-        set_index = self.cache.set_index(self.align(addr))
-        occupied = sum(
-            1 for entry in self.cache.entries() if self.cache.set_index(entry.addr) == set_index
-        )
-        reserved = sum(
-            1
-            for tbe in self.tbes
-            if tbe.meta.get("needs_slot") and self.cache.set_index(tbe.addr) == set_index
-        )
-        return self.cache.assoc - occupied - reserved
-
-    def _close(self, addr):
-        self.tbes.deallocate(addr)
-        self.wake_stalled(addr)
-
-    # -- dispatch ---------------------------------------------------------------------
-
-    def handle_message(self, port, msg):
-        # Monomorphic fast path: data/ack responses dominate steady-state
-        # traffic, so resolve them on the first compare.
-        if port == "response":
-            return self.fire(
-                self.block_state(msg.addr), _RESPONSE_EVENTS[msg.mtype], msg
-            )
-        if port == "forward":
-            return self.fire(
-                self.block_state(msg.addr), _FORWARD_EVENTS[msg.mtype], msg
-            )
-        return self._handle_mandatory(msg)
-
-    def _handle_mandatory(self, msg):
-        addr = self.align(msg.addr)
-        state = self.block_state(addr)
-        event = FL1Event.Load if msg.mtype is CpuOp.Load else FL1Event.Store
-        if state in _TRANSIENT:
-            return STALL
-        if state is FL1State.I and self._fill_room(addr) <= 0:
-            victim = self.stable_victim(addr)
-            if victim is not None:
-                synthetic = Message(event, victim.addr, sender=self.name, dest=self.name)
-                self.fire(victim.state, FL1Event.Replacement, synthetic)
-                if self._fill_room(addr) > 0:
-                    return self.fire(state, event, msg)
-            return RETRY
-        return self.fire(state, event, msg)
+    STATE = FL1State
+    EVENT = FL1Event
+    MSG = MesifMsg
+    FORWARD_EVENTS = {
+        MesifMsg.Inv: FL1Event.Inv,
+        MesifMsg.Fwd_GetS_F: FL1Event.Fwd_GetS_F,
+        MesifMsg.Fwd_GetS: FL1Event.Fwd_GetS,
+        MesifMsg.Fwd_GetM: FL1Event.Fwd_GetM,
+        MesifMsg.Recall: FL1Event.Recall,
+        MesifMsg.WBAck: FL1Event.WBAck,
+        MesifMsg.WBNack: FL1Event.WBNack,
+    }
+    RESPONSE_EVENTS = {
+        MesifMsg.DataS: FL1Event.DataS,
+        MesifMsg.DataF: FL1Event.DataF,
+        MesifMsg.DataE: FL1Event.DataE,
+        MesifMsg.DataM: FL1Event.DataM,
+        MesifMsg.InvAck: FL1Event.InvAck,
+    }
+    TRANSIENT = frozenset({
+        FL1State.IS_D,
+        FL1State.IM_AD,
+        FL1State.IM_A,
+        FL1State.SM_AD,
+        FL1State.SM_A,
+        FL1State.MI_A,
+        FL1State.EI_A,
+        FL1State.II_A,
+    })
+    FWD_GETS_DATA = MesifMsg.DataF
+    SILENT_EVICTIONS = (FL1State.S, FL1State.F)
 
     # -- transition table ----------------------------------------------------------------
 
-    def _build_transitions(self):
-        t = self.transitions
-        S, E = FL1State, FL1Event
-        t[(S.I, E.Load)] = self._i_load
-        t[(S.I, E.Store)] = self._i_store
-        for shared in (S.S, S.F):
-            t[(shared, E.Load)] = self._hit_load
-            t[(shared, E.Store)] = self._shared_store
-            t[(shared, E.Replacement)] = self._silent_evict
-            t[(shared, E.Inv)] = self._shared_inv
-        t[(S.E, E.Load)] = self._hit_load
-        t[(S.E, E.Store)] = self._e_store
-        t[(S.M, E.Load)] = self._hit_load
-        t[(S.M, E.Store)] = self._m_store
-        t[(S.E, E.Replacement)] = self._e_repl
-        t[(S.M, E.Replacement)] = self._m_repl
+    def _build_policy_rows(self, t, S, E):
+        """F joins S as a shared state; both evict silently."""
+        t[(S.F, E.Load)] = self._hit_load
+        t[(S.F, E.Store)] = self._s_store
+        t[(S.F, E.Inv)] = self._s_inv
+        t[(S.S, E.Replacement)] = self._silent_evict
+        t[(S.F, E.Replacement)] = self._silent_evict
         # silent-eviction consequences: stale records at the L2 mean an
         # Inv / F-forward can arrive in I or in a fill transient (the
         # paper's "ISI" scenario: invalidation before the data). The data
@@ -181,109 +115,17 @@ class MesifL1(CacheControllerBase):
         # the F responder role
         t[(S.F, E.Fwd_GetS_F)] = self._serve_f
         t[(S.SM_AD, E.Fwd_GetS_F)] = self._serve_f
-        # fills
-        t[(S.IS_D, E.DataS)] = self._fill_s
-        t[(S.IS_D, E.DataF)] = self._fill_f
-        t[(S.IS_D, E.DataE)] = self._fill_e
-        t[(S.IS_D, E.DataM)] = self._fill_m
-        t[(S.IM_AD, E.DataM)] = self._getm_data
-        t[(S.IM_AD, E.InvAck)] = self._count_ack
-        t[(S.IM_A, E.InvAck)] = self._ack_maybe_done
-        t[(S.SM_AD, E.DataM)] = self._getm_data
-        t[(S.SM_AD, E.InvAck)] = self._count_ack
-        t[(S.SM_A, E.InvAck)] = self._ack_maybe_done
-        t[(S.SM_AD, E.Inv)] = self._smad_inv
-        # owner forwards
-        t[(S.E, E.Fwd_GetS)] = self._owner_fwd_gets
-        t[(S.M, E.Fwd_GetS)] = self._owner_fwd_gets
-        t[(S.E, E.Fwd_GetM)] = self._owner_fwd_getm
-        t[(S.M, E.Fwd_GetM)] = self._owner_fwd_getm
-        t[(S.E, E.Recall)] = self._owner_recall
-        t[(S.M, E.Recall)] = self._owner_recall
-        # writeback transients
-        t[(S.MI_A, E.WBAck)] = self._wb_done
-        t[(S.EI_A, E.WBAck)] = self._wb_done
-        for wb in (S.MI_A, S.EI_A):
-            t[(wb, E.Fwd_GetS)] = self._replacing_fwd_gets
-            t[(wb, E.Fwd_GetM)] = self._replacing_fwd_getm
-            t[(wb, E.Recall)] = self._replacing_recall
-        t[(S.II_A, E.WBNack)] = self._wb_done
-        t[(S.II_A, E.Inv)] = self._iia_inv
+        t[(S.IS_D, E.DataF)] = self._isd_data_f
         self.coverage_exempt.add((S.S, E.Fwd_GetS_F))
         # Only GetS_Only is answered with DataS, and only Crossing Guard
         # issues GetS_Only — a host L1 never receives it.
         self.coverage_exempt.add((S.IS_D, E.DataS))
 
-    # -- CPU ops -----------------------------------------------------------------------
-
-    def _i_load(self, msg):
-        addr = self.align(msg.addr)
-        tbe = self.tbes.allocate(addr, FL1State.IS_D, now=self.sim.tick)
-        tbe.origin = msg
-        tbe.meta["needs_slot"] = True
-        self._to_l2(MesifMsg.GetS, addr)
-        return CONSUMED
-
-    def _i_store(self, msg):
-        addr = self.align(msg.addr)
-        tbe = self.tbes.allocate(addr, FL1State.IM_AD, now=self.sim.tick)
-        tbe.origin = msg
-        tbe.meta["needs_slot"] = True
-        tbe.acks_needed = None
-        self._to_l2(MesifMsg.GetM, addr)
-        return CONSUMED
-
-    def _hit_load(self, msg):
-        entry = self.cache.lookup(msg.addr)
-        self.respond_to_cpu(msg, entry.data)
-        return CONSUMED
-
-    def _shared_store(self, msg):
-        addr = self.align(msg.addr)
-        tbe = self.tbes.allocate(addr, FL1State.SM_AD, now=self.sim.tick)
-        tbe.origin = msg
-        tbe.acks_needed = None
-        self._to_l2(MesifMsg.GetM, addr)
-        return CONSUMED
-
-    def _e_store(self, msg):
-        entry = self.cache.lookup(msg.addr)
-        entry.state = FL1State.M
-        entry.dirty = True
-        entry.data.write_byte(self.offset(msg.addr), msg.value)
-        self.respond_to_cpu(msg, entry.data)
-        return CONSUMED
-
-    def _m_store(self, msg):
-        entry = self.cache.lookup(msg.addr)
-        entry.data.write_byte(self.offset(msg.addr), msg.value)
-        self.respond_to_cpu(msg, entry.data)
-        return CONSUMED
-
-    # -- replacements -------------------------------------------------------------------------
+    # -- silent eviction and its stale probes ----------------------------------------------
 
     def _silent_evict(self, msg):
         self.cache.deallocate(msg.addr)
         self.stats.inc("silent_sf_evictions")
-        return CONSUMED
-
-    def _e_repl(self, msg):
-        entry = self.cache.lookup(msg.addr, touch=False)
-        self.tbes.allocate(msg.addr, FL1State.EI_A, now=self.sim.tick)
-        self._to_l2(MesifMsg.PutE, msg.addr, data=entry.data.copy(), dirty=False)
-        return CONSUMED
-
-    def _m_repl(self, msg):
-        entry = self.cache.lookup(msg.addr, touch=False)
-        self.tbes.allocate(msg.addr, FL1State.MI_A, now=self.sim.tick)
-        self._to_l2(MesifMsg.PutM, msg.addr, data=entry.data.copy(), dirty=True)
-        return CONSUMED
-
-    # -- invalidations and the F role ---------------------------------------------------------------
-
-    def _shared_inv(self, msg):
-        self._send(MesifMsg.InvAck, msg.addr, msg.requestor, "response")
-        self.cache.deallocate(msg.addr)
         return CONSUMED
 
     def _stale_inv(self, msg):
@@ -298,6 +140,8 @@ class MesifL1(CacheControllerBase):
         self.stats.inc("fnacks")
         return CONSUMED
 
+    # -- the F role ---------------------------------------------------------------------------
+
     def _serve_f(self, msg):
         """Forward clean data cache-to-cache; the requestor inherits F."""
         entry = self.cache.lookup(msg.addr, touch=False)
@@ -309,159 +153,12 @@ class MesifL1(CacheControllerBase):
         self.stats.inc("f_transfers")
         return CONSUMED
 
-    def _iia_inv(self, msg):
-        self._send(MesifMsg.InvAck, msg.addr, msg.requestor, "response")
-        return CONSUMED
-
-    # -- fills ------------------------------------------------------------------------------------------
-
-    def _fill(self, msg, state, dirty=False):
+    def _isd_data_f(self, msg):
+        """A DataF fill takes the F designation and acknowledges it."""
         addr = msg.addr
         tbe = self.tbes.lookup(addr)
-        entry = self.cache.allocate(addr, state, data=msg.data.copy(), dirty=dirty)
-        self.respond_to_cpu(tbe.origin, entry.data)
-        unblock = {
-            FL1State.S: MesifMsg.UnblockS,
-            FL1State.F: MesifMsg.UnblockF,
-            FL1State.E: MesifMsg.UnblockX,
-            FL1State.M: MesifMsg.UnblockX,
-        }[state]
-        self._to_l2(unblock, addr, port="response")
+        entry = self.cache.allocate(addr, FL1State.F, data=msg.data.copy())
+        self._finish_read(addr, tbe, entry)
+        self._to_l2(MesifMsg.UnblockF, addr, port="response")
         self._close(addr)
-        return CONSUMED
-
-    def _fill_s(self, msg):
-        return self._fill(msg, FL1State.S)
-
-    def _fill_f(self, msg):
-        return self._fill(msg, FL1State.F)
-
-    def _fill_e(self, msg):
-        return self._fill(msg, FL1State.E)
-
-    def _fill_m(self, msg):
-        return self._fill(msg, FL1State.M, dirty=True)
-
-    def _getm_data(self, msg):
-        addr = msg.addr
-        tbe = self.tbes.lookup(addr)
-        tbe.data = msg.data.copy() if msg.data is not None else tbe.data
-        tbe.acks_needed = msg.ack_count
-        tbe.data_received = True
-        if tbe.acks_received >= tbe.acks_needed:
-            self._complete_store(addr, tbe)
-        else:
-            tbe.state = (
-                FL1State.IM_A if tbe.state is FL1State.IM_AD else FL1State.SM_A
-            )
-        return CONSUMED
-
-    def _count_ack(self, msg):
-        self.tbes.lookup(msg.addr).acks_received += 1
-        return CONSUMED
-
-    def _ack_maybe_done(self, msg):
-        tbe = self.tbes.lookup(msg.addr)
-        tbe.acks_received += 1
-        if tbe.acks_received >= tbe.acks_needed:
-            self._complete_store(msg.addr, tbe)
-        return CONSUMED
-
-    def _complete_store(self, addr, tbe):
-        entry = self.cache.lookup(addr, touch=False)
-        if entry is None:
-            entry = self.cache.allocate(addr, FL1State.M, data=tbe.data)
-        else:
-            entry.state = FL1State.M
-            if tbe.data is not None:
-                entry.data = tbe.data
-        entry.dirty = True
-        op = tbe.origin
-        entry.data.write_byte(self.offset(op.addr), op.value)
-        self.respond_to_cpu(op, entry.data)
-        self._to_l2(MesifMsg.UnblockX, addr, port="response")
-        self._close(addr)
-
-    def _smad_inv(self, msg):
-        addr = msg.addr
-        tbe = self.tbes.lookup(addr)
-        self._send(MesifMsg.InvAck, addr, msg.requestor, "response")
-        if self.cache.lookup(addr, touch=False) is not None:
-            self.cache.deallocate(addr)
-        tbe.state = FL1State.IM_AD
-        tbe.meta["needs_slot"] = True
-        tbe.data = None
-        return CONSUMED
-
-    # -- owner forwards --------------------------------------------------------------------------------------
-
-    def _owner_fwd_gets(self, msg):
-        """Owner downgrade: data to the requestor (who takes F), dirty
-        data back to the L2."""
-        entry = self.cache.lookup(msg.addr, touch=False)
-        self._send(MesifMsg.DataF, msg.addr, msg.requestor, "response", data=entry.data.copy())
-        self._to_l2(
-            MesifMsg.CopyBack, msg.addr, port="response",
-            data=entry.data.copy(), dirty=entry.dirty,
-        )
-        entry.state = FL1State.S
-        entry.dirty = False
-        return CONSUMED
-
-    def _owner_fwd_getm(self, msg):
-        entry = self.cache.lookup(msg.addr, touch=False)
-        self._send(
-            MesifMsg.DataM, msg.addr, msg.requestor, "response",
-            data=entry.data.copy(), dirty=entry.dirty, ack_count=0,
-        )
-        self.cache.deallocate(msg.addr)
-        return CONSUMED
-
-    def _owner_recall(self, msg):
-        entry = self.cache.lookup(msg.addr, touch=False)
-        self._to_l2(
-            MesifMsg.CopyBackInv, msg.addr, port="response",
-            data=entry.data.copy(), dirty=entry.dirty,
-        )
-        self.cache.deallocate(msg.addr)
-        return CONSUMED
-
-    # -- writeback transients ------------------------------------------------------------------------------------
-
-    def _wb_done(self, msg):
-        addr = msg.addr
-        if self.cache.lookup(addr, touch=False) is not None:
-            self.cache.deallocate(addr)
-        self._close(addr)
-        return CONSUMED
-
-    def _replacing_fwd_gets(self, msg):
-        tbe = self.tbes.lookup(msg.addr)
-        entry = self.cache.lookup(msg.addr, touch=False)
-        self._send(MesifMsg.DataF, msg.addr, msg.requestor, "response", data=entry.data.copy())
-        self._to_l2(
-            MesifMsg.CopyBack, msg.addr, port="response",
-            data=entry.data.copy(), dirty=entry.dirty,
-        )
-        tbe.state = FL1State.II_A
-        return CONSUMED
-
-    def _replacing_fwd_getm(self, msg):
-        tbe = self.tbes.lookup(msg.addr)
-        entry = self.cache.lookup(msg.addr, touch=False)
-        self._send(
-            MesifMsg.DataM, msg.addr, msg.requestor, "response",
-            data=entry.data.copy(), dirty=entry.dirty, ack_count=0,
-        )
-        tbe.state = FL1State.II_A
-        return CONSUMED
-
-    def _replacing_recall(self, msg):
-        tbe = self.tbes.lookup(msg.addr)
-        entry = self.cache.lookup(msg.addr, touch=False)
-        self._to_l2(
-            MesifMsg.CopyBackInv, msg.addr, port="response",
-            data=entry.data.copy(), dirty=entry.dirty,
-        )
-        tbe.state = FL1State.II_A
         return CONSUMED

@@ -1,30 +1,24 @@
-"""MESIF shared inclusive L2 with embedded directory.
+"""MESIF shared inclusive L2: the MESI L2 plus the F-state policy.
 
-Like the MESI L2, a blocking directory closed by Unblocks, with three
-MESIF twists:
+:class:`~repro.protocols.mesi.l2.MesiL2` supplies the blocking directory,
+the inclusive evictions and every shared row; this class holds only the
+deltas:
 
 * per-block ``f_holder``: the sharer designated to forward clean data;
-  a GetS is sent to it (``Fwd_GetS_F``) and the requestor inherits F;
+  a GetS is sent to it (``Fwd_GetS_F``) and the requestor inherits F.
+  ``UnblockF`` sets the designation and ``UnblockX`` clears it;
 * the sharer list is *conservative*: S/F evict silently, so Inv fan-outs
-  may hit caches that no longer hold the block (they ack anyway) and a
-  forward may bounce (``FNack``), in which case the L2 serves the data;
+  may hit caches that no longer hold the block (they ack anyway), a
+  forward may bounce (``FNack``, and the L2 serves the data), and a
+  stale Put leaves its sender listed;
 * there is no PutS at all.
 """
 
 import enum
 
-from repro.coherence.controller import (
-    CONSUMED,
-    RETRY,
-    STALL,
-    CoherenceController,
-    ProtocolError,
-)
-from repro.coherence.tbe import TBETable
-from repro.memory.cache_array import CacheArray
-from repro.memory.datablock import block_align
+from repro.coherence.controller import CONSUMED
+from repro.protocols.mesi.l2 import MesiL2
 from repro.protocols.mesif.messages import MesifMsg
-from repro.sim.message import Message
 
 
 class FL2State(enum.Enum):
@@ -55,200 +49,68 @@ class FL2Event(enum.Enum):
     Replacement = enum.auto()
 
 
-_GET_EVENTS = {
-    MesifMsg.GetS: FL2Event.GetS,
-    MesifMsg.GetM: FL2Event.GetM,
-    MesifMsg.GetS_Only: FL2Event.GetS_Only,
-}
-_RESPONSE_EVENTS = {
-    MesifMsg.UnblockS: FL2Event.UnblockS,
-    MesifMsg.UnblockF: FL2Event.UnblockF,
-    MesifMsg.UnblockX: FL2Event.UnblockX,
-    MesifMsg.CopyBack: FL2Event.CopyBack,
-    MesifMsg.CopyBackInv: FL2Event.CopyBackInv,
-    MesifMsg.InvAck: FL2Event.InvAck,
-    MesifMsg.FNack: FL2Event.FNack,
-}
+class MesifL2(MesiL2):
+    """Shared inclusive L2 / directory for the MESIF protocol.
 
-
-class MesifL2(CoherenceController):
-    """Shared inclusive L2 / directory for the MESIF protocol."""
+    Where a delta sits inside a MESI handler (``_v_gets``,
+    ``_maybe_close``), the whole handler is overridden instead of adding
+    a hook to it, so the MESI path makes no extra call per message.
+    """
 
     CONTROLLER_TYPE = "mesif_l2"
-    PORTS = ("response", "request")
 
-    def __init__(self, sim, name, net, memory, num_sets=256, assoc=8, block_size=64,
-                 xg_tolerant=False):
-        self.net = net
-        self.memory = memory
-        self.block_size = block_size
-        self.xg_tolerant = xg_tolerant
-        self.cache = CacheArray(num_sets, assoc, block_size=block_size, name=name)
-        self.tbes = TBETable(name=name)
-        super().__init__(sim, name)
+    STATE = FL2State
+    EVENT = FL2Event
+    MSG = MesifMsg
+    GET_EVENTS = {
+        MesifMsg.GetS: FL2Event.GetS,
+        MesifMsg.GetM: FL2Event.GetM,
+        MesifMsg.GetS_Only: FL2Event.GetS_Only,
+    }
+    PUT_TYPES = frozenset({MesifMsg.PutE, MesifMsg.PutM})
+    RESPONSE_EVENTS = {
+        MesifMsg.UnblockS: FL2Event.UnblockS,
+        MesifMsg.UnblockF: FL2Event.UnblockF,
+        MesifMsg.UnblockX: FL2Event.UnblockX,
+        MesifMsg.CopyBack: FL2Event.CopyBack,
+        MesifMsg.CopyBackInv: FL2Event.CopyBackInv,
+        MesifMsg.InvAck: FL2Event.InvAck,
+        MesifMsg.FNack: FL2Event.FNack,
+    }
+    TRANSIENT = (FL2State.IV, FL2State.BUSY, FL2State.EV_ACK, FL2State.EV_DATA)
 
-    # -- helpers ------------------------------------------------------------------
-
-    def align(self, addr):
-        return block_align(addr, self.block_size)
-
-    def _send(self, mtype, addr, dest, port, **kw):
-        msg = Message(mtype, addr, sender=self.name, dest=dest, **kw)
-        self.net.send(msg, port)
-        return msg
-
-    def _state(self, addr):
-        tbe = self.tbes.lookup(addr)
-        if tbe is not None:
-            return tbe.state
-        entry = self.cache.lookup(addr, touch=False)
-        return entry.state if entry is not None else FL2State.NP
-
-    def _fill_room(self, addr):
-        set_index = self.cache.set_index(self.align(addr))
-        occupied = sum(
-            1 for entry in self.cache.entries() if self.cache.set_index(entry.addr) == set_index
-        )
-        reserved = sum(
-            1
-            for tbe in self.tbes
-            if tbe.meta.get("needs_slot") and self.cache.set_index(tbe.addr) == set_index
-        )
-        return self.cache.assoc - occupied - reserved
-
-    def _stable_victim(self, addr):
-        set_index = self.cache.set_index(self.align(addr))
-        candidates = [
-            entry
-            for entry in self.cache.entries()
-            if self.cache.set_index(entry.addr) == set_index and entry.addr not in self.tbes
-        ]
-        if not candidates:
-            return None
-        return min(candidates, key=lambda entry: entry.last_use)
-
-    # -- dispatch ----------------------------------------------------------------------
-
-    def handle_message(self, port, msg):
-        addr = msg.addr
-        state = self._state(addr)
-        # Monomorphic fast path: data/ack/unblock responses dominate
-        # steady-state traffic, so resolve them on the first compare.
-        if port == "response":
-            return self.fire(state, _RESPONSE_EVENTS[msg.mtype], msg)
-        # request port
-        if state in (FL2State.IV, FL2State.BUSY, FL2State.EV_ACK, FL2State.EV_DATA):
-            return STALL
-        if msg.mtype in _GET_EVENTS:
-            event = _GET_EVENTS[msg.mtype]
-            if state is FL2State.NP and self._fill_room(addr) <= 0:
-                victim = self._stable_victim(addr)
-                if victim is not None:
-                    synthetic = Message(
-                        FL2Event.Replacement, victim.addr, sender=self.name, dest=self.name
-                    )
-                    self.fire(victim.state, FL2Event.Replacement, synthetic)
-                if self._fill_room(addr) <= 0:
-                    return RETRY
-            return self.fire(self._state(addr), event, msg)
-        if msg.mtype in (MesifMsg.PutE, MesifMsg.PutM):
-            entry = self.cache.lookup(addr, touch=False)
-            if (
-                state is FL2State.X
-                and entry.meta["owner"] == msg.sender
-            ):
-                event = FL2Event.PutM if msg.mtype is MesifMsg.PutM else FL2Event.PutE
-            else:
-                event = FL2Event.PutStale
-            return self.fire(state, event, msg)
-        raise ProtocolError(self, state, msg.mtype, msg, note="bad request type")
-
-    # -- transition table ------------------------------------------------------------------
-
-    def _build_transitions(self):
-        t = self.transitions
-        S, E = FL2State, FL2Event
-        t[(S.NP, E.GetS)] = self._np_get
-        t[(S.NP, E.GetM)] = self._np_get
-        t[(S.NP, E.GetS_Only)] = self._np_get
-        t[(S.V, E.GetS)] = self._v_gets
-        t[(S.V, E.GetS_Only)] = self._v_gets_only
-        t[(S.V, E.GetM)] = self._v_getm
-        t[(S.X, E.GetS)] = self._x_gets
-        t[(S.X, E.GetS_Only)] = self._x_gets
-        t[(S.X, E.GetM)] = self._x_getm
-        t[(S.X, E.PutE)] = self._x_put
-        t[(S.X, E.PutM)] = self._x_put
-        for st in (S.NP, S.V, S.X):
-            t[(st, E.PutStale)] = self._put_stale
-        t[(S.IV, E.MemData)] = self._iv_mem_data
-        t[(S.BUSY, E.UnblockS)] = self._busy_unblock
+    def _build_policy_rows(self, t, S, E):
+        """No PutS; the F designation moves with UnblockF, and a declined
+        forward (FNack) falls back to the L2's copy."""
         t[(S.BUSY, E.UnblockF)] = self._busy_unblock
-        t[(S.BUSY, E.UnblockX)] = self._busy_unblock
-        t[(S.BUSY, E.CopyBack)] = self._busy_copyback
         t[(S.BUSY, E.FNack)] = self._busy_fnack
-        t[(S.EV_ACK, E.InvAck)] = self._ev_ack
-        t[(S.EV_ACK, E.CopyBack)] = self._ev_ack_copyback
-        t[(S.EV_DATA, E.CopyBackInv)] = self._ev_data
-        t[(S.V, E.Replacement)] = self._v_repl
-        t[(S.X, E.Replacement)] = self._x_repl
-        self.coverage_exempt.add((S.EV_ACK, E.CopyBack))
 
-    # -- gets -------------------------------------------------------------------------------
+    def _classify_put(self, msg, state):
+        """Only the exclusive owner's PutE/PutM is current."""
+        entry = self.cache.lookup(msg.addr, touch=False)
+        if state is FL2State.X and entry.meta["owner"] == msg.sender:
+            return FL2Event.PutM if msg.mtype is MesifMsg.PutM else FL2Event.PutE
+        return FL2Event.PutStale
 
-    def _np_get(self, msg):
-        addr = msg.addr
-        tbe = self.tbes.allocate(addr, FL2State.IV, now=self.sim.tick)
-        tbe.requestor = msg.sender
-        tbe.meta["needs_slot"] = True
-        tbe.meta["op"] = msg.mtype
-        self.sim.schedule(self.memory.latency, self._mem_data_arrived, addr)
-        return CONSUMED
-
-    def _mem_data_arrived(self, addr):
-        tbe = self.tbes.lookup(addr)
-        synthetic = Message(FL2Event.MemData, addr, sender="memory", dest=self.name)
-        synthetic.data = self.memory.read(addr)
-        self.fire(tbe.state, FL2Event.MemData, synthetic)
-        self.request_wakeup()
+    # -- the F designation -------------------------------------------------------------
 
     def _iv_mem_data(self, msg):
-        addr = msg.addr
-        tbe = self.tbes.lookup(addr)
-        entry = self.cache.allocate(addr, FL2State.V, data=msg.data)
-        entry.meta["sharers"] = set()
-        entry.meta["owner"] = None
-        entry.meta["f_holder"] = None
-        tbe.meta["needs_slot"] = False
-        op = tbe.meta["op"]
-        if op is MesifMsg.GetM:
-            self._send(
-                MesifMsg.DataM, addr, tbe.requestor, "response",
-                data=entry.data.copy(), ack_count=0,
-            )
-        elif op is MesifMsg.GetS_Only:
-            self._send(MesifMsg.DataS, addr, tbe.requestor, "response", data=entry.data.copy())
-        else:
-            self._send(MesifMsg.DataE, addr, tbe.requestor, "response", data=entry.data.copy())
-        tbe.state = FL2State.BUSY
-        return CONSUMED
+        """A block fetched from memory starts with no F holder."""
+        outcome = super()._iv_mem_data(msg)
+        self.cache.lookup(msg.addr, touch=False).meta["f_holder"] = None
+        return outcome
 
     def _v_gets(self, msg):
+        """A GetS on a shared block goes to the F holder, or is answered
+        with DataF when there is none (or the requestor is it)."""
         addr = msg.addr
-        entry = self.cache.lookup(addr)
+        entry = self.cache.lookup(addr, touch=False)
+        if not entry.meta["sharers"]:
+            return super()._v_gets(msg)  # E or dirty-M grant, as in MESI
+        self.cache.lookup(addr)  # touch LRU, as the MESI handler does
         tbe = self.tbes.allocate(addr, FL2State.BUSY, now=self.sim.tick)
         tbe.requestor = msg.sender
         tbe.meta["op"] = msg.mtype
-        if not entry.meta["sharers"]:
-            if entry.dirty:
-                self._send(
-                    MesifMsg.DataM, addr, msg.sender, "response",
-                    data=entry.data.copy(), dirty=True, ack_count=0,
-                )
-                self.stats.inc("l2_dirty_grants")
-            else:
-                self._send(MesifMsg.DataE, addr, msg.sender, "response", data=entry.data.copy())
-            return CONSUMED
         f_holder = entry.meta["f_holder"]
         if f_holder is not None and f_holder != msg.sender:
             # cache-to-cache transfer from the designated responder
@@ -258,118 +120,19 @@ class MesifL2(CoherenceController):
             self._send(MesifMsg.DataF, addr, msg.sender, "response", data=entry.data.copy())
         return CONSUMED
 
-    def _v_gets_only(self, msg):
-        addr = msg.addr
-        entry = self.cache.lookup(addr)
-        tbe = self.tbes.allocate(addr, FL2State.BUSY, now=self.sim.tick)
-        tbe.requestor = msg.sender
-        tbe.meta["op"] = msg.mtype
-        self._send(MesifMsg.DataS, addr, msg.sender, "response", data=entry.data.copy())
-        return CONSUMED
-
-    def _v_getm(self, msg):
-        addr = msg.addr
-        entry = self.cache.lookup(addr)
-        tbe = self.tbes.allocate(addr, FL2State.BUSY, now=self.sim.tick)
-        tbe.requestor = msg.sender
-        tbe.meta["op"] = msg.mtype
-        to_invalidate = entry.meta["sharers"] - {msg.sender}
-        for sharer in sorted(to_invalidate):
-            self._send(MesifMsg.Inv, addr, sharer, "forward", requestor=msg.sender)
-        self._send(
-            MesifMsg.DataM, addr, msg.sender, "response",
-            data=entry.data.copy(), dirty=entry.dirty, ack_count=len(to_invalidate),
-        )
-        return CONSUMED
-
-    def _x_gets(self, msg):
-        addr = msg.addr
-        entry = self.cache.lookup(addr)
-        owner = entry.meta["owner"]
-        if owner == msg.sender:
-            if not self.xg_tolerant:
-                raise ProtocolError(self, FL2State.X, FL2Event.GetS, msg, note="GetS from owner")
-            self.note_protocol_anomaly("GetS from current owner", msg)
-            tbe = self.tbes.allocate(addr, FL2State.BUSY, now=self.sim.tick)
-            tbe.requestor = msg.sender
-            tbe.meta["op"] = msg.mtype
-            self._send(
-                MesifMsg.DataM, addr, msg.sender, "response",
-                data=entry.data.copy(), dirty=True, ack_count=0,
-            )
-            return CONSUMED
-        tbe = self.tbes.allocate(addr, FL2State.BUSY, now=self.sim.tick)
-        tbe.requestor = msg.sender
-        tbe.meta["op"] = msg.mtype
-        tbe.meta["need_copyback"] = True
-        self._send(MesifMsg.Fwd_GetS, addr, owner, "forward", requestor=msg.sender)
-        return CONSUMED
-
-    def _x_getm(self, msg):
-        addr = msg.addr
-        entry = self.cache.lookup(addr)
-        owner = entry.meta["owner"]
-        if owner == msg.sender:
-            if not self.xg_tolerant:
-                raise ProtocolError(self, FL2State.X, FL2Event.GetM, msg, note="GetM from owner")
-            self.note_protocol_anomaly("GetM from current owner", msg)
-            tbe = self.tbes.allocate(addr, FL2State.BUSY, now=self.sim.tick)
-            tbe.requestor = msg.sender
-            tbe.meta["op"] = msg.mtype
-            self._send(
-                MesifMsg.DataM, addr, msg.sender, "response",
-                data=entry.data.copy(), dirty=True, ack_count=0,
-            )
-            return CONSUMED
-        tbe = self.tbes.allocate(addr, FL2State.BUSY, now=self.sim.tick)
-        tbe.requestor = msg.sender
-        tbe.meta["op"] = msg.mtype
-        self._send(MesifMsg.Fwd_GetM, addr, owner, "forward", requestor=msg.sender)
-        return CONSUMED
-
-    # -- puts ---------------------------------------------------------------------------------------
-
-    def _x_put(self, msg):
-        entry = self.cache.lookup(msg.addr, touch=False)
-        entry.data = msg.data.copy()
-        entry.dirty = msg.mtype is MesifMsg.PutM
-        entry.meta["owner"] = None
-        entry.state = FL2State.V
-        self._send(MesifMsg.WBAck, msg.addr, msg.sender, "forward")
-        return CONSUMED
-
     def _put_stale(self, msg):
+        """Nack a Put that raced a forward; the conservative sharer list
+        keeps its sender."""
         self._send(MesifMsg.WBNack, msg.addr, msg.sender, "forward")
         self.stats.inc("l2_stale_puts")
         return CONSUMED
 
-    # -- closure ----------------------------------------------------------------------------------------
-
     def _busy_unblock(self, msg):
+        """Record which of the three Unblocks arrived; closure reads it."""
         tbe = self.tbes.lookup(msg.addr)
         tbe.meta["got_unblock"] = True
         tbe.meta["unblock_kind"] = msg.mtype
         self._maybe_close(msg.addr)
-        return CONSUMED
-
-    def _busy_copyback(self, msg):
-        addr = msg.addr
-        tbe = self.tbes.lookup(addr)
-        entry = self.cache.lookup(addr, touch=False)
-        if not tbe.meta.get("need_copyback"):
-            if not self.xg_tolerant:
-                raise ProtocolError(
-                    self, FL2State.BUSY, FL2Event.CopyBack, msg, note="unexpected copyback"
-                )
-            self.note_protocol_anomaly("copyback instead of InvAck; acking requestor", msg)
-            self._send(MesifMsg.InvAck, addr, tbe.requestor, "response")
-            return CONSUMED
-        entry.data = msg.data.copy()
-        entry.dirty = msg.dirty
-        entry.meta["sharers"].add(msg.sender)
-        entry.meta["owner"] = None
-        tbe.meta["got_copyback"] = True
-        self._maybe_close(addr)
         return CONSUMED
 
     def _busy_fnack(self, msg):
@@ -389,6 +152,7 @@ class MesifL2(CoherenceController):
         return CONSUMED
 
     def _maybe_close(self, addr):
+        """MESI's closure, keyed on which of the three Unblocks arrived."""
         tbe = self.tbes.lookup(addr)
         if tbe.meta.get("need_copyback") and not tbe.meta.get("got_copyback"):
             return
@@ -410,64 +174,3 @@ class MesifL2(CoherenceController):
                 entry.state = FL2State.V
         self.tbes.deallocate(addr)
         self.wake_stalled(addr)
-
-    # -- inclusive evictions ----------------------------------------------------------------------------------
-
-    def _v_repl(self, msg):
-        addr = msg.addr
-        entry = self.cache.lookup(addr, touch=False)
-        sharers = entry.meta["sharers"]
-        if not sharers:
-            if entry.dirty:
-                self.memory.write(addr, entry.data)
-            self.cache.deallocate(addr)
-            self.stats.inc("l2_evictions")
-            return CONSUMED
-        tbe = self.tbes.allocate(addr, FL2State.EV_ACK, now=self.sim.tick)
-        tbe.acks_needed = len(sharers)
-        for sharer in sorted(sharers):
-            self._send(MesifMsg.Inv, addr, sharer, "forward", requestor=self.name)
-        return CONSUMED
-
-    def _x_repl(self, msg):
-        addr = msg.addr
-        entry = self.cache.lookup(addr, touch=False)
-        self.tbes.allocate(addr, FL2State.EV_DATA, now=self.sim.tick)
-        self._send(MesifMsg.Recall, addr, entry.meta["owner"], "forward")
-        return CONSUMED
-
-    def _ev_ack(self, msg):
-        addr = msg.addr
-        tbe = self.tbes.lookup(addr)
-        tbe.acks_received += 1
-        if tbe.acks_received < tbe.acks_needed:
-            return CONSUMED
-        entry = self.cache.lookup(addr, touch=False)
-        if entry.dirty:
-            self.memory.write(addr, entry.data)
-        self.cache.deallocate(addr)
-        self.tbes.deallocate(addr)
-        self.stats.inc("l2_evictions")
-        self.wake_stalled(addr)
-        return CONSUMED
-
-    def _ev_ack_copyback(self, msg):
-        if not self.xg_tolerant:
-            raise ProtocolError(
-                self, FL2State.EV_ACK, FL2Event.CopyBack, msg, note="data on eviction Inv"
-            )
-        self.note_protocol_anomaly("copyback counted as eviction InvAck", msg)
-        return self._ev_ack(msg)
-
-    def _ev_data(self, msg):
-        addr = msg.addr
-        entry = self.cache.lookup(addr, touch=False)
-        if msg.dirty:
-            self.memory.write(addr, msg.data)
-        elif entry.dirty:
-            self.memory.write(addr, entry.data)
-        self.cache.deallocate(addr)
-        self.tbes.deallocate(addr)
-        self.stats.inc("l2_evictions")
-        self.wake_stalled(addr)
-        return CONSUMED

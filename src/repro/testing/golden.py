@@ -3,23 +3,27 @@
 The compiled transition dispatch (:mod:`repro.coherence.controller`)
 rewrites the semantics-critical inner loop of every protocol controller,
 so its proof obligation is behavioral *identity*, not plausibility. This
-module digests seeded runs into three sha256 fingerprints:
+module digests seeded runs into four sha256 fingerprints:
 
 * **transitions** — the full per-controller (tick, component, type,
   state, event) sequence recorded by :class:`~repro.obs.Telemetry`,
   i.e. every step every state machine took, in order;
 * **memory** — the final main-memory image (sorted address → block
   bytes);
+* **state** — every controller's final ``snapshot_state()`` (resident
+  entries, open TBEs, stalled messages), which pins the end state of a
+  run whose dirty blocks all stay in the caches;
 * **stats** — the canonical-JSON per-component stats report.
 
 Two runs with equal digest dicts took the same steps, landed the same
-bytes, and counted the same events. :func:`compare_modes` runs one
-scenario twice — once under ``DISPATCH_MODE="compiled"``, once under
-``"legacy"`` (the pre-refactor reference path, kept verbatim) — and the
-equivalence suite asserts the digests match across all hosts ×
-accelerator organizations. Committed digests in ``tests/golden/``
-additionally pin the sequences against *future* perturbation; refresh
-them deliberately with ``python -m repro golden --update``.
+bytes, left the same cache contents, and counted the same events.
+:func:`compare_modes` runs one scenario twice — once under
+``DISPATCH_MODE="compiled"``, once under ``"legacy"`` (the pre-refactor
+reference path, kept verbatim) — and the equivalence suite asserts the
+digests match across all hosts × accelerator organizations. Committed
+digests in ``tests/golden/`` additionally pin the sequences against
+*future* perturbation; refresh them deliberately with
+``python -m repro golden --update``.
 """
 
 import hashlib
@@ -27,6 +31,7 @@ import json
 
 from repro.accel.rogue import RogueAccel
 from repro.coherence.controller import dispatch_mode
+from repro.coherence.snapshot import canonical_text
 from repro.host.config import AccelOrg, HostProtocol, SystemConfig
 from repro.host.system import build_system
 from repro.obs import Telemetry
@@ -35,18 +40,21 @@ from repro.testing.random_tester import RandomTester
 from repro.xg.interface import XGVariant
 
 #: Scenario names accepted by :func:`golden_run`.
-SCENARIOS = ("stress", "fuzz", "chaos")
+SCENARIOS = ("stress", "l2press", "fuzz", "chaos")
 
 #: The (scenario, host, org) configs whose digests are committed in
 #: ``tests/golden/digests.json``: every host protocol, both XG ports that
-#: share code (MESI and MESIF), a chaos run whose link faults
-#: duplicate and drop messages on the crossing, and a fuzz run that pins
-#: the fixed-adversary path.
+#: share code (MESI and MESIF), the inclusive-eviction rows of both
+#: (``l2press``), a chaos run whose link faults duplicate and drop
+#: messages on the crossing, and a fuzz run that pins the fixed-adversary
+#: path.
 PINNED_CONFIGS = (
     ("stress", HostProtocol.MESI, AccelOrg.XG),
     ("stress", HostProtocol.HAMMER, AccelOrg.XG),
     ("stress", HostProtocol.MESIF, AccelOrg.HOST_SIDE),
     ("stress", HostProtocol.MESIF, AccelOrg.XG),
+    ("l2press", HostProtocol.MESI, AccelOrg.XG),
+    ("l2press", HostProtocol.MESIF, AccelOrg.XG),
     ("chaos", HostProtocol.MESI, AccelOrg.XG),
     ("fuzz", HostProtocol.HAMMER, AccelOrg.XG),
 )
@@ -88,12 +96,28 @@ def stats_digest(sim):
     return hashlib.sha256(report.encode()).hexdigest()
 
 
+def state_digest(system):
+    """sha256 over every controller's final logical state.
+
+    Each line is one ``(name, snapshot_state())`` pair as canonical text
+    (dicts sorted by item), so it does not depend on set or dict
+    iteration order. Fixed-behavior adversaries standing in for
+    accelerator caches have no protocol state and are skipped.
+    """
+    return _digest_lines(
+        canonical_text((ctrl.name, ctrl.snapshot_state()), None, None)
+        for ctrl in system.controllers()
+        if hasattr(ctrl, "snapshot_state")
+    )
+
+
 def digest_system(system, obs):
     """The full digest dict for one finished run."""
     return {
         "transitions": transition_digest(obs),
         "transitions_count": len(obs.transitions or ()),
         "memory": memory_digest(system.memory),
+        "state": state_digest(system),
         "stats": stats_digest(system.sim),
         "final_tick": system.sim.tick,
         "events_fired": system.sim._events_fired,
@@ -103,11 +127,14 @@ def digest_system(system, obs):
 # -- scenarios ---------------------------------------------------------------
 
 
-def _run_stress(host, org, xg_variant, seed, ops):
+def _run_stress(host, org, xg_variant, seed, ops, l2_sets=4, l2_assoc=2):
     """Seeded random CPU+accelerator traffic over the full protocol stack.
 
     Works for every (host, org) pair — the same small geometry the
-    ``xg_stress`` benchmark uses, with telemetry recording on.
+    ``xg_stress`` benchmark uses, with telemetry recording on. The
+    ``l2press`` scenario shrinks the shared L2 to 2 sets x 1 way (the
+    stress campaign's ``+l2press`` job), below the 6 blocks in play, so
+    inclusive evictions and Recalls fire constantly.
     """
     config = SystemConfig(
         host=host,
@@ -117,8 +144,8 @@ def _run_stress(host, org, xg_variant, seed, ops):
         n_accel_cores=2,
         cpu_l1_sets=2,
         cpu_l1_assoc=1,
-        shared_l2_sets=4,
-        shared_l2_assoc=2,
+        shared_l2_sets=l2_sets,
+        shared_l2_assoc=l2_assoc,
         accel_l1_sets=2,
         accel_l1_assoc=1,
         randomize_latencies=True,
@@ -181,6 +208,9 @@ def golden_run(scenario, host, org=AccelOrg.XG,
     """
     if scenario == "stress":
         system, obs = _run_stress(host, org, xg_variant, seed, ops)
+    elif scenario == "l2press":
+        system, obs = _run_stress(host, org, xg_variant, seed, ops,
+                                  l2_sets=2, l2_assoc=1)
     elif scenario == "fuzz":
         system, obs = _run_fuzz(host, xg_variant, seed, ops)
     elif scenario == "chaos":
@@ -276,6 +306,35 @@ def pinned_digests(seed=0, ops=400):
         "ops": ops,
         "digests": pinned,
     }
+
+
+def _changed_fields(expected, actual):
+    """Sorted names of the digest fields whose values differ."""
+    return sorted(
+        key for key in expected.keys() | actual.keys()
+        if expected.get(key) != actual.get(key)
+    )
+
+
+def check_pinned(committed, fresh):
+    """Per-label verdicts of fresh digests against a committed digest file.
+
+    ``committed`` and ``fresh`` map labels to digest dicts. Returns
+    ``{label: verdict}`` in label order; a verdict is ``"OK"``,
+    ``"CHANGED (fields)"``, ``"MISSING from the digest file"`` for a
+    ``PINNED_CONFIGS`` label the file lacks, or ``"not in PINNED_CONFIGS"``
+    for a file label no pinned config produces.
+    """
+    verdicts = {}
+    for label in sorted(committed.keys() | fresh.keys()):
+        if label not in committed:
+            verdicts[label] = "MISSING from the digest file"
+        elif label not in fresh:
+            verdicts[label] = "not in PINNED_CONFIGS"
+        else:
+            fields = _changed_fields(committed[label], fresh[label])
+            verdicts[label] = f"CHANGED ({', '.join(fields)})" if fields else "OK"
+    return verdicts
 
 
 def write_pinned(path, seed=0, ops=400):

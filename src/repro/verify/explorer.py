@@ -45,7 +45,7 @@ from dataclasses import replace as dc_replace
 from itertools import permutations
 
 from repro.coherence.controller import ProtocolError
-from repro.coherence.snapshot import snap_message
+from repro.coherence.snapshot import canonical_text, snap_message
 from repro.eval.campaign import CampaignJob, run_campaign, shard_evenly
 from repro.host.config import AccelOrg, HostProtocol, SystemConfig
 from repro.host.system import build_system
@@ -409,45 +409,11 @@ class ExplorerHarness:
     def canonical(self):
         """Canonical state text: min over core and address renamings."""
         snap = self.snapshot()
-        return min(_render(snap, name_map, addr_map)
+        return min(canonical_text(snap, name_map, addr_map)
                    for name_map, addr_map in self._symmetry_maps)
 
     def digest(self):
         return _sha(self.canonical())
-
-
-def _render(obj, name_map, addr_map):
-    """Canonical text of one snapshot under one symmetry renaming.
-
-    Strings go through ``name_map`` and ints through ``addr_map``; a dict
-    renders as ``('dict', (items))`` with its ``(key, value)`` item texts
-    sorted, a list or tuple as ``('tuple', (values))``, anything else as
-    its ``repr``. That is the ``repr`` of the renamed snapshot with every
-    dict frozen into a sorted item tuple, built bottom-up in one pass.
-    """
-    if isinstance(obj, str):
-        return repr(name_map.get(obj, obj) if name_map else obj)
-    if isinstance(obj, bool) or obj is None or isinstance(obj, (bytes, float)):
-        return repr(obj)
-    if isinstance(obj, int):
-        return repr(addr_map.get(obj, obj) if addr_map else obj)
-    if isinstance(obj, dict):
-        items = sorted([
-            f"({_render(key, name_map, addr_map)}, "
-            f"{_render(value, name_map, addr_map)})"
-            for key, value in obj.items()
-        ])
-        return f"('dict', {_tuple_text(items)})"
-    if isinstance(obj, (list, tuple)):
-        return f"('tuple', {_tuple_text([_render(v, name_map, addr_map) for v in obj])})"
-    return repr(obj)
-
-
-def _tuple_text(parts):
-    """``repr`` of a tuple whose elements render as ``parts``."""
-    if len(parts) == 1:
-        return f"({parts[0]},)"
-    return f"({', '.join(parts)})"
 
 
 def _sha(text):

@@ -3,6 +3,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from repro.coherence.tbe import TBETable
 from repro.memory.cache_array import CacheArray
 
 
@@ -55,6 +56,24 @@ def test_deallocate():
     assert cache.lookup(0x1000) is None
     with pytest.raises(KeyError):
         cache.deallocate(0x1000)
+
+
+def test_fill_room_and_stable_victim_respect_open_transactions():
+    cache = CacheArray(2, 2)  # 0x000, 0x080, 0x100, 0x200 share set 0
+    tbes = TBETable()
+    cache.allocate(0x000, "S")
+    cache.allocate(0x080, "S")
+    assert cache.fill_room(0x100, tbes) == 0
+    assert cache.stable_victim(0x100, tbes).addr == 0x000  # LRU
+    tbes.allocate(0x000, "busy")
+    assert cache.stable_victim(0x100, tbes).addr == 0x080, "mid-transaction entry skipped"
+    tbes.allocate(0x080, "busy")
+    assert cache.stable_victim(0x100, tbes) is None
+    cache.deallocate(0x000)
+    assert cache.fill_room(0x100, tbes) == 1
+    tbes.allocate(0x100, "fill").meta["needs_slot"] = True
+    assert cache.fill_room(0x200, tbes) == 0, "the free way is promised to a fill"
+    assert cache.fill_room(0x040, tbes) == 2, "other sets are untouched"
 
 
 def test_set_indexing_disjoint():

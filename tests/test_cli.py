@@ -1,8 +1,13 @@
 """Tests for the command-line interface."""
 
+import json
+import os
+
 import pytest
 
 from repro.cli import build_parser, main
+
+GOLDEN_PATH = os.path.join(os.path.dirname(__file__), "golden", "digests.json")
 
 
 def test_demo_runs_clean(capsys):
@@ -105,3 +110,37 @@ def test_fuzz_live_frames_single_run(capsys):
 def test_parser_requires_command():
     with pytest.raises(SystemExit):
         build_parser().parse_args([])
+
+
+def _tampered_golden(tmp_path, tamper):
+    with open(GOLDEN_PATH) as fh:
+        pinned = json.load(fh)
+    tamper(pinned["digests"])
+    path = tmp_path / "digests.json"
+    path.write_text(json.dumps(pinned))
+    return str(path)
+
+
+def test_golden_names_the_changed_fields(tmp_path, capsys):
+    def tamper(digests):
+        digests["stress/mesif/xg"]["stats"] = "0" * 64
+        digests["l2press/mesi/xg"]["final_tick"] += 1
+        digests["l2press/mesi/xg"]["state"] = "0" * 64
+
+    assert main(["golden", "--path", _tampered_golden(tmp_path, tamper)]) == 1
+    out = capsys.readouterr().out
+    assert "stress/mesif/xg: CHANGED (stats)" in out
+    assert "l2press/mesi/xg: CHANGED (final_tick, state)" in out
+    assert "stress/mesi/xg: OK" in out
+
+
+def test_golden_fails_when_pins_and_file_disagree_on_labels(tmp_path, capsys):
+    def tamper(digests):
+        del digests["l2press/mesif/xg"]
+        digests["stress/nohost/xg"] = dict(digests["stress/mesi/xg"])
+
+    assert main(["golden", "--path", _tampered_golden(tmp_path, tamper)]) == 1
+    out = capsys.readouterr().out
+    assert "l2press/mesif/xg: MISSING from the digest file" in out
+    assert "stress/nohost/xg: not in PINNED_CONFIGS" in out
+    assert "CHANGED" not in out

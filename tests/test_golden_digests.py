@@ -8,10 +8,12 @@ Two layers of protection for the compiled dispatch fast path:
    This is the tentpole's proof obligation.
 2. **Pinned digests** — seed-run digests for the configs in
    ``PINNED_CONFIGS`` are committed in ``tests/golden/digests.json``: a
-   stress run per host protocol, the MESIF XG port, a chaos run with
-   duplicated and dropped crossing messages, and a fuzz run on the
-   fixed-adversary path. Any change
-   that perturbs a transition sequence fails here until the digests are
+   stress run per host protocol, the MESIF XG port, L2-pressure runs
+   (``l2press``) that reach the MESI and MESIF inclusive evictions, a
+   chaos run with duplicated and dropped crossing messages, and a fuzz
+   run on the fixed-adversary path. Any change that perturbs a
+   transition sequence, the end state or the stats fails here until the
+   digests are
    deliberately refreshed (``python -m repro golden --update``) and the
    behavior change is explained in the PR.
 """

@@ -60,6 +60,16 @@ def test_first_load_exclusive_then_f_inheritance():
     assert host.l1s[1].stats.get("f_transfers") == 1
 
 
+def test_load_miss_then_hit_counted_like_mesi():
+    """The MESIF L1 reports the MESI L1's miss, hit and latency counters."""
+    host = MesifHost()
+    host.load(0, 0x1000)
+    host.load(0, 0x1000)
+    assert host.l1s[0].stats.get("l1_load_misses") == 1
+    assert host.l1s[0].stats.get("l1_load_hits") == 1
+    assert host.sim.stats_for("latency").histogram("l1_miss_latency").count == 1
+
+
 def test_silent_eviction_then_fnack_fallback():
     host = MesifHost(l1_sets=1, l1_assoc=1)
     host.store(0, 0x1000, 7)
