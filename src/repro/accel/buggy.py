@@ -198,6 +198,7 @@ class FloodingAccel(_AdversaryBase):
                  retry_after=None):
         super().__init__(sim, name, net, xg_name, block_size=block_size)
         self.addr_pool = list(addr_pool)
+        self._distinct = len(set(self.addr_pool))
         self.gap = gap
         self.requests_sent = 0
         self.responses_seen = 0
@@ -217,25 +218,28 @@ class FloodingAccel(_AdversaryBase):
         self.stopped = True
 
     def _tick(self):
+        # Fires every tick for a whole campaign, mostly with every address
+        # held. ``held`` only ever holds pool addresses, so each candidate
+        # list below is built only when it is non-empty: the same choices,
+        # messages and RNG draws, without two list scans per idle tick.
         if self.stopped:
             return
-        rng = self.sim.rng
-        free = [a for a in self.addr_pool if a not in self.held]
-        if free:
-            addr = rng.choice(free)
-            self.held[addr] = self.sim.tick
+        held = self.held
+        now = self.sim.tick
+        if len(held) < self._distinct:
+            free = [a for a in self.addr_pool if a not in held]
+            addr = self.sim.rng.choice(free)
+            held[addr] = now
             self._emit(AccelMsg.GetM, addr, "accel_request")
             self.requests_sent += 1
-        elif self.retry_after is not None:
-            stuck = [
-                a for a, since in self.held.items()
-                if self.sim.tick - since >= self.retry_after
-            ]
-            if stuck:
-                addr = rng.choice(stuck)
-                self.held[addr] = self.sim.tick
-                self._emit(AccelMsg.GetM, addr, "accel_request")
-                self.retries_sent += 1
+        elif (self.retry_after is not None and held
+              and now - min(held.values()) >= self.retry_after):
+            stuck = [a for a, since in held.items()
+                     if now - since >= self.retry_after]
+            addr = self.sim.rng.choice(stuck)
+            held[addr] = now
+            self._emit(AccelMsg.GetM, addr, "accel_request")
+            self.retries_sent += 1
         self.sim.schedule(self.gap, self._tick)
 
     def wakeup(self):

@@ -15,11 +15,12 @@ import enum
 
 from repro.coherence.controller import CONSUMED, RETRY, STALL
 from repro.protocols.common import CacheControllerBase, CpuOp
+from repro.sim.idenum import IdEnum
 from repro.sim.message import Message
 from repro.xg.interface import AccelMsg
 
 
-class AL1State(enum.Enum):
+class AL1State(IdEnum):
     I = enum.auto()
     S = enum.auto()
     E = enum.auto()
@@ -27,7 +28,7 @@ class AL1State(enum.Enum):
     B = enum.auto()  # the single transient: any request outstanding
 
 
-class AL1Event(enum.Enum):
+class AL1Event(IdEnum):
     Load = enum.auto()
     Store = enum.auto()
     Replacement = enum.auto()
@@ -38,7 +39,7 @@ class AL1Event(enum.Enum):
     WBAck = enum.auto()
 
 
-class AccelL1Mode(enum.Enum):
+class AccelL1Mode(IdEnum):
     MESI = enum.auto()
     MSI = enum.auto()
     VI = enum.auto()

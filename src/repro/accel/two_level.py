@@ -23,6 +23,7 @@ from repro.coherence.tbe import TBETable
 from repro.coherence.controller import CoherenceController
 from repro.memory.cache_array import CacheArray
 from repro.memory.datablock import block_align
+from repro.sim.idenum import IdEnum
 from repro.sim.message import Message
 from repro.xg.interface import AccelMsg
 
@@ -33,7 +34,7 @@ from repro.accel.l1_single import AccelL1
 AccelL1Two = AccelL1
 
 
-class AL2State(enum.Enum):
+class AL2State(IdEnum):
     NP = enum.auto()  # not present
     S = enum.auto()  # shared-clean from XG; L1s may hold S
     O = enum.auto()  # exclusive from XG (DataE/DataM); an L1 may own it
@@ -43,7 +44,7 @@ class AL2State(enum.Enum):
     B_EVICT = enum.auto()  # inclusive eviction: collecting local copies
 
 
-class AL2Event(enum.Enum):
+class AL2Event(IdEnum):
     GetS = enum.auto()
     GetM = enum.auto()
     PutS = enum.auto()

@@ -16,6 +16,7 @@ from collections import defaultdict, deque
 from contextlib import contextmanager
 
 from repro.sim.component import Component
+from repro.sim.idenum import name_of
 
 CONSUMED = "consumed"
 STALL = "stall"
@@ -233,14 +234,14 @@ class CoherenceController(Component):
         without importing per-protocol enums.
         """
         return sorted(
-            (getattr(s, "name", str(s)), getattr(e, "name", str(e)))
+            (name_of(s), name_of(e))
             for s, e in self.possible_transitions()
         )
 
     def covered_transitions(self):
         """Executed transitions as sorted (state name, event name) pairs."""
         return sorted(
-            (getattr(s, "name", str(s)), getattr(e, "name", str(e)))
+            (name_of(s), name_of(e))
             for s, e in self.coverage
         )
 

@@ -8,6 +8,8 @@ fraction of declared transitions executed at least once.
 
 from collections import defaultdict
 
+from repro.sim.idenum import name_of
+
 
 class CoverageReport:
     """Coverage for one controller type, possibly many instances."""
@@ -48,9 +50,7 @@ class CoverageReport:
         """(state, event, count) rows sorted by name for reporting."""
         out = []
         for (state, event), count in self.visited.items():
-            out.append(
-                (getattr(state, "name", str(state)), getattr(event, "name", str(event)), count)
-            )
+            out.append((name_of(state), name_of(event), count))
         return sorted(out)
 
     def __repr__(self):

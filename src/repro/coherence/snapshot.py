@@ -22,6 +22,8 @@ renaming, and the golden ``state`` digest hashes it as is.
 
 import enum
 
+from repro.sim.idenum import name_of
+
 #: TBE/entry ``meta`` keys that hold scheduling artifacts (event cancel
 #: tokens, telemetry spans, lineage ids) rather than protocol state.
 VOLATILE_META_KEYS = frozenset({
@@ -37,7 +39,7 @@ def snap_value(value):
     if value is None or isinstance(value, (bool, int, str, bytes, float)):
         return value
     if isinstance(value, enum.Enum):
-        return value.name
+        return value._name_
     # Message carriers appear in meta ("accel_req", TBE.origin) and in
     # channel contents; duck-type on the Message slots.
     if hasattr(value, "mtype") and hasattr(value, "uid"):
@@ -58,7 +60,7 @@ def snap_message(msg):
     data = msg.data
     return (
         "msg",
-        getattr(msg.mtype, "name", str(msg.mtype)),
+        name_of(msg.mtype),
         msg.addr,
         msg.sender,
         msg.dest,
@@ -83,7 +85,7 @@ def snap_meta(meta):
 def snap_cache_entry(entry):
     """Logical content of a resident cache entry (LRU clock excluded)."""
     return (
-        getattr(entry.state, "name", str(entry.state)),
+        name_of(entry.state),
         bytes(entry.data.to_bytes()) if entry.data is not None else None,
         bool(entry.dirty),
         getattr(entry.permission, "name", entry.permission),
@@ -94,7 +96,7 @@ def snap_cache_entry(entry):
 def snap_tbe(tbe):
     """Logical content of a TBE (``opened_at`` tick excluded)."""
     return (
-        getattr(tbe.state, "name", str(tbe.state)),
+        name_of(tbe.state),
         bytes(tbe.data.to_bytes()) if tbe.data is not None else None,
         bool(tbe.dirty),
         tbe.acks_needed,
@@ -108,6 +110,11 @@ def snap_tbe(tbe):
     )
 
 
+#: Types a snapshot holds as leaves; a tuple of only these, under the
+#: identity renaming, renders as its own ``repr``.
+_ATOMS = frozenset({str, int, bool, type(None), bytes, float})
+
+
 def canonical_text(obj, name_map, addr_map):
     """Canonical text of one snapshot under one renaming (maps may be None).
 
@@ -116,23 +123,43 @@ def canonical_text(obj, name_map, addr_map):
     sorted, a list or tuple as ``('tuple', (values))``, anything else as
     its ``repr``. That is the ``repr`` of the renamed snapshot with every
     dict frozen into a sorted item tuple, built bottom-up in one pass.
+
+    Dispatch is on the exact type, most frequent first; subclasses of the
+    built-in types fall through to the ``isinstance`` checks at the end.
     """
-    if isinstance(obj, str):
+    kind = type(obj)
+    if kind is tuple or kind is list:
+        if not name_map and not addr_map:
+            for value in obj:
+                if type(value) not in _ATOMS:
+                    break
+            else:
+                return f"('tuple', {tuple(obj)!r})"
+        parts = [canonical_text(v, name_map, addr_map) for v in obj]
+        return f"('tuple', {_tuple_text(parts)})"
+    if kind is str:
         return repr(name_map.get(obj, obj) if name_map else obj)
-    if isinstance(obj, bool) or obj is None or isinstance(obj, (bytes, float)):
-        return repr(obj)
-    if isinstance(obj, int):
+    if kind is int:
         return repr(addr_map.get(obj, obj) if addr_map else obj)
-    if isinstance(obj, dict):
+    if obj is None or kind is bool or kind is bytes or kind is float:
+        return repr(obj)
+    if kind is dict:
         items = sorted([
             f"({canonical_text(key, name_map, addr_map)}, "
             f"{canonical_text(value, name_map, addr_map)})"
             for key, value in obj.items()
         ])
         return f"('dict', {_tuple_text(items)})"
+    if isinstance(obj, str):
+        return repr(name_map.get(obj, obj) if name_map else obj)
+    if isinstance(obj, (bool, bytes, float)):
+        return repr(obj)
+    if isinstance(obj, int):
+        return repr(addr_map.get(obj, obj) if addr_map else obj)
+    if isinstance(obj, dict):
+        return canonical_text(dict(obj), name_map, addr_map)
     if isinstance(obj, (list, tuple)):
-        parts = [canonical_text(v, name_map, addr_map) for v in obj]
-        return f"('tuple', {_tuple_text(parts)})"
+        return canonical_text(tuple(obj), name_map, addr_map)
     return repr(obj)
 
 

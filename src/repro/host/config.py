@@ -9,16 +9,17 @@ accel caches).
 import enum
 from dataclasses import dataclass, field
 
+from repro.sim.idenum import IdEnum
 from repro.xg.interface import XGVariant
 
 
-class HostProtocol(enum.Enum):
+class HostProtocol(IdEnum):
     MESI = enum.auto()
     HAMMER = enum.auto()
     MESIF = enum.auto()  # Intel-like inclusive MESI(F)
 
 
-class AccelOrg(enum.Enum):
+class AccelOrg(IdEnum):
     ACCEL_SIDE = enum.auto()  # Figure 2a: accel cache speaks raw host protocol
     HOST_SIDE = enum.auto()  # Figure 2b: no accel cache; loads cross the link
     XG = enum.auto()  # Figure 2c/2d: Crossing Guard

@@ -54,6 +54,7 @@ class System:
         self.directory = None  # hammer dir or mesi L2
         #: online invariant watchdog (None unless config.invariant_interval)
         self.watchdog = None
+        self._checkpointer = None
 
     # first-accelerator conveniences (the common single-accel case)
     @property
@@ -81,6 +82,34 @@ class System:
         out.extend(self.xgs)
         out.append(self.directory)
         return out
+
+    def checkpoint(self, *extras):
+        """Capture the system's physical state for a later :meth:`restore`.
+
+        ``extras`` are caller-owned containers that live on the same
+        timeline (the explorer's parked messages): captured with the
+        system and refilled in place on restore. See
+        :mod:`repro.host.checkpoint` for what a checkpoint carries.
+        """
+        if self._checkpointer is None:
+            # imported on first use: building and running never need it
+            from repro.host.checkpoint import SystemCheckpointer
+
+            self._checkpointer = SystemCheckpointer(self)
+        return self._checkpointer.checkpoint(extras)
+
+    def restore(self, checkpoint):
+        """Write ``checkpoint`` back into this system's live objects.
+
+        Components, buffers, the event queue and every other fixed object
+        keep their identity, so compiled dispatch closures and network
+        route caches stay valid: nothing is rebuilt or recompiled.
+        """
+        if self._checkpointer is None:
+            from repro.host.checkpoint import CheckpointError
+
+            raise CheckpointError("checkpoint was taken from another system")
+        self._checkpointer.restore(checkpoint)
 
     def run_until_drained(self, max_ticks=100_000_000):
         reason = self.sim.run(max_ticks=max_ticks)

@@ -12,6 +12,7 @@ renders it as a text heatmap plus per-cell span-latency percentiles.
 
 from repro.coherence.coverage import CoverageReport
 from repro.eval.report import format_table
+from repro.sim.idenum import name_of
 from repro.sim.stats import Histogram
 
 #: Shading ramp for the heatmap, indexed by coverage fraction.
@@ -116,8 +117,7 @@ class CellSummary:
         for ctype, report in sorted(self.coverage.items()):
             known = None if reachable is None else reachable.get(ctype)
             for state, event in report.missing:
-                names = (getattr(state, "name", str(state)),
-                         getattr(event, "name", str(event)))
+                names = (name_of(state), name_of(event))
                 if known is not None and names not in known:
                     continue
                 out.append((ctype,) + names)

@@ -17,6 +17,7 @@ and the hooks in :class:`~repro.sim.network.Network`,
 telemetry costs nothing when it is off.
 """
 
+from repro.sim.idenum import name_of
 from repro.sim.stats import Histogram
 
 
@@ -265,10 +266,7 @@ class Telemetry:
         if len(transitions) >= self.max_transitions:
             self.transitions_dropped += 1
             return
-        transitions.append(
-            (tick, component, ctype,
-             getattr(state, "name", str(state)), getattr(event, "name", str(event)))
-        )
+        transitions.append((tick, component, ctype, name_of(state), name_of(event)))
 
     def record_busy(self, tick, component, ticks):
         """One occupancy window: ``component`` busy for ``ticks`` from ``tick``.

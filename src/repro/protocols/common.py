@@ -13,9 +13,10 @@ from repro.coherence.controller import CoherenceController
 from repro.coherence.tbe import TBETable
 from repro.memory.cache_array import CacheArray
 from repro.memory.datablock import block_align, block_offset
+from repro.sim.idenum import IdEnum
 
 
-class CpuOp(enum.Enum):
+class CpuOp(IdEnum):
     """Requests a sequencer (CPU or accelerator core) issues to its cache."""
 
     Load = enum.auto()

@@ -24,10 +24,11 @@ import enum
 from repro.coherence.controller import CONSUMED, RETRY, STALL, ProtocolError
 from repro.protocols.common import CacheControllerBase, CpuOp
 from repro.protocols.hammer.messages import HammerMsg
+from repro.sim.idenum import IdEnum
 from repro.sim.message import Message
 
 
-class HCState(enum.Enum):
+class HCState(IdEnum):
     I = enum.auto()
     S = enum.auto()
     E = enum.auto()
@@ -43,7 +44,7 @@ class HCState(enum.Enum):
     II_A = enum.auto()  # lost ownership mid-writeback, waiting WBNack
 
 
-class HCEvent(enum.Enum):
+class HCEvent(IdEnum):
     Load = enum.auto()
     Store = enum.auto()
     Replacement = enum.auto()

@@ -13,16 +13,17 @@ from repro.coherence.controller import CONSUMED, STALL, CoherenceController, Pro
 from repro.coherence.tbe import TBETable
 from repro.memory.datablock import block_align
 from repro.protocols.hammer.messages import HammerMsg
+from repro.sim.idenum import IdEnum
 from repro.sim.message import Message
 
 
-class DirState(enum.Enum):
+class DirState(IdEnum):
     IDLE = enum.auto()  # no transaction open for the block
     BUSY = enum.auto()  # Get broadcast out, waiting Unblock
     WB = enum.auto()  # WBAck sent, waiting WBData
 
 
-class DirEvent(enum.Enum):
+class DirEvent(IdEnum):
     GetS = enum.auto()
     GetM = enum.auto()
     GetS_Only = enum.auto()

@@ -2,8 +2,10 @@
 
 import enum
 
+from repro.sim.idenum import IdEnum
 
-class HammerMsg(enum.Enum):
+
+class HammerMsg(IdEnum):
     """All Hammer-like message types."""
 
     # -- cache -> directory requests

@@ -27,10 +27,11 @@ import enum
 from repro.coherence.controller import CONSUMED, RETRY, STALL
 from repro.protocols.common import CacheControllerBase, CpuOp
 from repro.protocols.mesi.messages import MesiMsg
+from repro.sim.idenum import IdEnum
 from repro.sim.message import Message
 
 
-class L1State(enum.Enum):
+class L1State(IdEnum):
     I = enum.auto()
     S = enum.auto()
     E = enum.auto()
@@ -46,7 +47,7 @@ class L1State(enum.Enum):
     II_A = enum.auto()  # block surrendered mid-writeback, waiting WBNack
 
 
-class L1Event(enum.Enum):
+class L1Event(IdEnum):
     Load = enum.auto()
     Store = enum.auto()
     Replacement = enum.auto()

@@ -34,10 +34,11 @@ from repro.coherence.controller import (
 from repro.coherence.tbe import TBETable
 from repro.memory.cache_array import CacheArray
 from repro.protocols.mesi.messages import MesiMsg
+from repro.sim.idenum import IdEnum
 from repro.sim.message import Message
 
 
-class L2State(enum.Enum):
+class L2State(IdEnum):
     NP = enum.auto()  # not present
     V = enum.auto()  # valid at L2; zero or more sharers; no exclusive owner
     X = enum.auto()  # an L1 holds the block exclusively (E or M)
@@ -47,7 +48,7 @@ class L2State(enum.Enum):
     EV_DATA = enum.auto()  # evicting: waiting owner CopyBackInv
 
 
-class L2Event(enum.Enum):
+class L2Event(IdEnum):
     GetS = enum.auto()
     GetM = enum.auto()
     GetS_Only = enum.auto()

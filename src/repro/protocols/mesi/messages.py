@@ -8,8 +8,10 @@ kinds, versus the accelerator interface's one and three.
 
 import enum
 
+from repro.sim.idenum import IdEnum
 
-class MesiMsg(enum.Enum):
+
+class MesiMsg(IdEnum):
     """All MESI two-level message types."""
 
     # -- L1 -> L2 requests

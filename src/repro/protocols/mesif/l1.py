@@ -18,9 +18,10 @@ import enum
 from repro.coherence.controller import CONSUMED
 from repro.protocols.mesi.l1 import MesiL1
 from repro.protocols.mesif.messages import MesifMsg
+from repro.sim.idenum import IdEnum
 
 
-class FL1State(enum.Enum):
+class FL1State(IdEnum):
     I = enum.auto()
     S = enum.auto()
     F = enum.auto()
@@ -36,7 +37,7 @@ class FL1State(enum.Enum):
     II_A = enum.auto()
 
 
-class FL1Event(enum.Enum):
+class FL1Event(IdEnum):
     Load = enum.auto()
     Store = enum.auto()
     Replacement = enum.auto()

@@ -19,9 +19,10 @@ import enum
 from repro.coherence.controller import CONSUMED
 from repro.protocols.mesi.l2 import MesiL2
 from repro.protocols.mesif.messages import MesifMsg
+from repro.sim.idenum import IdEnum
 
 
-class FL2State(enum.Enum):
+class FL2State(IdEnum):
     NP = enum.auto()
     V = enum.auto()
     X = enum.auto()
@@ -31,7 +32,7 @@ class FL2State(enum.Enum):
     EV_DATA = enum.auto()
 
 
-class FL2Event(enum.Enum):
+class FL2Event(IdEnum):
     GetS = enum.auto()
     GetM = enum.auto()
     GetS_Only = enum.auto()

@@ -2,8 +2,10 @@
 
 import enum
 
+from repro.sim.idenum import IdEnum
 
-class MesifMsg(enum.Enum):
+
+class MesifMsg(IdEnum):
     """All MESIF message types."""
 
     # -- L1 -> L2 requests (no PutS: S and F evict silently)

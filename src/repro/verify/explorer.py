@@ -29,15 +29,18 @@ transition system:
   deliverable message (deadlock freedom), and parked channels are
   bounded.
 
-States are *reconstructed by replay*: a frontier node is the choice path
-from the reset state, re-executed deterministically. That makes frontier
-slices picklable — the BFS fans out over the campaign executor
+A frontier node is the choice path from the reset state. That makes
+frontier slices picklable — the BFS fans out over the campaign executor
 (:func:`repro.eval.campaign.run_campaign`) with byte-identical
 visited-set digests for any worker count — and makes every
-counterexample a replayable trace on the live simulator by construction.
-Expanding a state costs one system build per outgoing transition: each
-child but the last replays the parent's path on a fresh system, and the
-last child takes over the replayed parent itself.
+counterexample a replayable trace on the live simulator by construction
+(:func:`replay_path`). Expansion never rebuilds a system: each process
+expands its states on one live :class:`ExplorerHarness`, restoring the
+parent's checkpoint (:meth:`repro.host.system.System.checkpoint`) before
+each child's action. The serial BFS keeps the checkpoint of every newly
+discovered state until that state is expanded, up to
+:data:`CHECKPOINT_BUDGET`; a state without one (a sharded level, or past
+the budget) replays its path once from the harness's root checkpoint.
 """
 
 import hashlib
@@ -49,6 +52,7 @@ from repro.coherence.snapshot import canonical_text, snap_message
 from repro.eval.campaign import CampaignJob, run_campaign, shard_evenly
 from repro.host.config import AccelOrg, HostProtocol, SystemConfig
 from repro.host.system import build_system
+from repro.sim.idenum import name_of
 from repro.sim.simulator import DeadlockError
 from repro.testing.invariants import InvariantError, check_all
 from repro.xg.interface import XGVariant
@@ -78,6 +82,11 @@ EXPLORER_ACCEL_TIMEOUT = 1 << 30
 #: is an unbounded-channel violation, mirroring the abstract model's
 #: ``_CHANNEL_BOUND``.
 DEFAULT_CHANNEL_BOUND = 32
+
+#: Checkpoints the serial BFS holds at once for discovered states awaiting
+#: expansion (a few kilobytes each). A state found past it carries only
+#: its path and replays that once from the root checkpoint when expanded.
+CHECKPOINT_BUDGET = 4096
 
 HOSTS = {
     "mesi": HostProtocol.MESI,
@@ -181,6 +190,10 @@ class ExplorerHarness:
             self._install_park(net)
         self._symmetry_maps = self._build_symmetry_maps()
         self._settle()
+        self._root = None
+        self._left_root = False
+        self.restores = 0
+        self.replays = 0
 
     # -- network parking ------------------------------------------------------
 
@@ -195,6 +208,37 @@ class ExplorerHarness:
         # Instance attribute shadows the bound method; ``broadcast``
         # routes through ``self.send`` so fan-out parks per-copy too.
         net.send = park_send
+
+    # -- checkpoints ------------------------------------------------------------
+
+    @property
+    def root(self):
+        """Checkpoint of the settled reset state; :meth:`replay` starts here.
+
+        Taken on first use, which must come before the first action: a
+        harness that only replays (:func:`replay_path`) never pays for it.
+        """
+        if self._root is None:
+            if self._left_root:
+                raise ExplorationError("root checkpoint requested after an action")
+            self._root = self.checkpoint()
+        return self._root
+
+    def checkpoint(self):
+        """The live state, parked messages included."""
+        return self.system.checkpoint(self.parked)
+
+    def restore(self, checkpoint):
+        """Return to a state captured by :meth:`checkpoint`."""
+        self.system.restore(checkpoint)
+        self.restores += 1
+
+    def replay(self, path):
+        """Enter the state at the end of ``path`` from the root checkpoint."""
+        self.system.restore(self.root)
+        self.replays += 1
+        for action in path:
+            self.apply(action)
 
     # -- deterministic settle -------------------------------------------------
 
@@ -227,12 +271,13 @@ class ExplorerHarness:
             actions.append((
                 "deliver", index,
                 parked.msg.sender, parked.msg.dest,
-                getattr(parked.msg.mtype, "name", str(parked.msg.mtype)),
+                name_of(parked.msg.mtype),
             ))
         return actions
 
     def apply(self, action):
         """Execute one choice, then settle. Raises on a stale replay."""
+        self._left_root = True
         action = tuple(action)
         kind = action[0]
         if kind == "issue":
@@ -343,7 +388,7 @@ class ExplorerHarness:
                         continue
                     entry = array.lookup(addr, touch=False)
                     if entry is not None:
-                        accel = getattr(entry.state, "name", str(entry.state))
+                        accel = name_of(entry.state)
                     tbes = getattr(cache, "tbes", None)
                     if tbes is not None and addr in tbes:
                         accel = "B"  # request in flight: the abstract transient
@@ -443,36 +488,49 @@ def replay_path(cell, path, channel_bound=DEFAULT_CHANNEL_BOUND):
 def _expand_paths(cell, paths, check=None, channel_bound=DEFAULT_CHANNEL_BOUND):
     """Campaign shard runner: expand each frontier path to its children.
 
-    Returns plain picklable records; the parent BFS merges them in
-    submission order, so sharding never changes the result.
+    One harness serves the whole shard; each path replays once from its
+    root checkpoint. Returns plain picklable records; the parent BFS
+    merges them in submission order, so sharding never changes the result.
     """
+    harness = ExplorerHarness(cell, channel_bound=channel_bound)
     return [
-        _expand_one(cell, tuple(tuple(a) for a in path), check, channel_bound)
+        _expand_one(harness, tuple(tuple(a) for a in path), check)
         for path in paths
     ]
 
 
-def _expand_one(cell, path, check, channel_bound):
-    parent = replay_path(cell, path, channel_bound=channel_bound)
+def _expand_one(harness, path, check, checkpoint=None, keep=None):
+    """Expand the state at the end of ``path`` on the live ``harness``.
+
+    The state is entered by restoring its ``checkpoint`` or, without one,
+    by replaying ``path`` once; every child after the first restores it
+    again before its own action. ``keep(digest)`` says whether a child's
+    checkpoint should come back in the record, for its own expansion.
+    """
+    restores, replays = harness.restores, harness.replays
+    if checkpoint is None:
+        harness.replay(path)
+        checkpoint = harness.checkpoint()
+    else:
+        harness.restore(checkpoint)
     record = {
         "path": [list(a) for a in path],
-        "quiescent": parent.is_quiescent(),
+        "quiescent": harness.is_quiescent(),
         "children": [],
         "violation": None,
         "covered": {},
         "projections": set(),
     }
-    # harvest the parent now: its last child takes it over below
-    _harvest(record, parent)
+    _harvest(record, harness)
 
-    def fail(reason, extra_action=None, harness=None):
+    def fail(reason, extra_action=None):
+        # flags the state the harness holds now
         trace = [list(a) for a in path]
         if extra_action is not None:
             trace.append(list(extra_action))
-        flagged = harness if harness is not None else parent
-        text = flagged.canonical()
+        text = harness.canonical()
         record["violation"] = {
-            "cell": dict(cell),
+            "cell": dict(harness.cell),
             "path": trace,
             "reason": reason,
             "check": check,
@@ -480,40 +538,40 @@ def _expand_one(cell, path, check, channel_bound):
             "digest": _sha(text),
         }
 
-    problems = parent.state_problems(check)
+    def done():
+        record["restores"] = harness.restores - restores
+        record["replays"] = harness.replays - replays
+        return _finish(record)
+
+    problems = harness.state_problems(check)
     if problems:
         fail(problems[0])
-        return _finish(record)
-    actions = parent.enabled_actions()
+        return done()
+    actions = harness.enabled_actions()
     if not record["quiescent"] and not any(a[0] == "deliver" for a in actions):
         fail("deadlock: non-quiescent state with no deliverable message")
-        return _finish(record)
-    last = len(actions) - 1
+        return done()
     for index, action in enumerate(actions):
-        # one build per transition: the last child consumes the parent
-        if index == last:
-            child = parent
-        else:
-            child = replay_path(cell, path, channel_bound=channel_bound)
+        if index:
+            harness.restore(checkpoint)
         try:
-            child.apply(action)
+            harness.apply(action)
         except (ProtocolError, InvariantError, DeadlockError) as exc:
-            if child is parent:
-                # fail() reports the unmodified parent, so rebuild it
-                parent = replay_path(cell, path, channel_bound=channel_bound)
+            harness.restore(checkpoint)  # report the unmodified parent
             fail(f"{type(exc).__name__}: {exc}", extra_action=action)
             break
-        problems = child.state_problems(check)
+        problems = harness.state_problems(check)
         if problems:
-            fail(problems[0], extra_action=action, harness=child)
+            fail(problems[0], extra_action=action)
             break
-        _harvest(record, child)
-        record["children"].append({
-            "action": list(action),
-            "digest": child.digest(),
-            "quiescent": child.is_quiescent(),
-        })
-    return _finish(record)
+        _harvest(record, harness)
+        digest = harness.digest()
+        child = {"action": list(action), "digest": digest,
+                 "quiescent": harness.is_quiescent()}
+        if keep is not None and keep(digest):
+            child["checkpoint"] = harness.checkpoint()
+        record["children"].append(child)
+    return done()
 
 
 def _harvest(record, harness):
@@ -529,7 +587,7 @@ def _finish(record):
     # plain sorted lists: records cross process boundaries
     record["covered"] = {
         ctype: sorted({
-            (getattr(state, "name", str(state)), getattr(event, "name", str(event)))
+            (name_of(state), name_of(event))
             for state, event in keys
         })
         for ctype, keys in record["covered"].items()
@@ -551,7 +609,10 @@ def explore_cell(host="mesi", variant="full_state", addresses=1, n_cpus=2,
     reachability-proven transition sets per controller type, the XG-link
     projections, and — if any check failed — a replayable
     ``counterexample`` (its ``path`` re-executes on the live simulator
-    via :func:`replay_path`).
+    via :func:`replay_path`). ``restores``, ``replays`` and
+    ``checkpoints_peak`` say how expansion reached its states: checkpoint
+    restores, path replays from the root checkpoint, and the most
+    checkpoints the frontier held at once.
 
     ``workers > 1`` shards each BFS level over the campaign executor;
     results merge in submission order, so the visited-set digest is
@@ -559,22 +620,55 @@ def explore_cell(host="mesi", variant="full_state", addresses=1, n_cpus=2,
     """
     cell = {"host": host, "variant": variant,
             "addresses": addresses, "n_cpus": n_cpus}
-    root = ExplorerHarness(cell, channel_bound=channel_bound)
-    root_digest = root.digest()
+    harness = ExplorerHarness(cell, channel_bound=channel_bound)
+    root_digest = harness.digest()
     visited = {root_digest}
-    quiescent = {root_digest} if root.is_quiescent() else set()
-    relation = root.transition_relation()
-    frontier = [()]
+    quiescent = {root_digest} if harness.is_quiescent() else set()
+    relation = harness.transition_relation()
+    # states awaiting expansion: (path, checkpoint or None)
+    frontier = [((), harness.root)]
+    held = peak = 1  # checkpoints the frontier holds
+    pending = set()  # new digests of the record being expanded
+
+    def keep(digest):
+        # mirrors the merge below: a child that will join the frontier
+        # keeps its checkpoint while the budget allows
+        nonlocal held, peak
+        if (digest in visited or digest in pending
+                or len(visited) + len(pending) >= max_states):
+            return False
+        pending.add(digest)
+        if held >= CHECKPOINT_BUDGET:
+            return False
+        held += 1
+        peak = max(peak, held)
+        return True
+
+    def expand_serially(level):
+        nonlocal held
+        for index, (path, checkpoint) in enumerate(level):
+            level[index] = None  # expanded: release its checkpoint
+            if checkpoint is not None:
+                held -= 1
+            yield _expand_one(harness, path, check, checkpoint, keep)
+
     reachable = {}
     projections = set()
-    transitions = 0
+    transitions = restores = replays = 0
     counterexample = None
     truncated = False
     depth = 0
     while frontier and counterexample is None:
-        records = _expand_frontier(cell, frontier, workers, check, channel_bound)
+        if workers > 1:
+            records = _expand_frontier(
+                cell, [path for path, _checkpoint in frontier], workers,
+                check, channel_bound)
+        else:
+            records = expand_serially(frontier)
         next_frontier = []
         for record in records:
+            restores += record["restores"]
+            replays += record["replays"]
             for ctype, pairs in record["covered"].items():
                 reachable.setdefault(ctype, set()).update(
                     tuple(pair) for pair in pairs)
@@ -593,9 +687,11 @@ def explore_cell(host="mesi", variant="full_state", addresses=1, n_cpus=2,
                 visited.add(digest)
                 if child["quiescent"]:
                     quiescent.add(digest)
-                next_frontier.append(
+                next_frontier.append((
                     tuple(tuple(a) for a in record["path"])
-                    + (tuple(child["action"]),))
+                    + (tuple(child["action"]),),
+                    child.get("checkpoint")))
+            pending.clear()
         depth += 1
         if progress is not None:
             progress(depth, len(visited), len(next_frontier))
@@ -606,6 +702,9 @@ def explore_cell(host="mesi", variant="full_state", addresses=1, n_cpus=2,
         "transitions": transitions,
         "quiescent_states": len(quiescent),
         "depth": depth,
+        "restores": restores,
+        "replays": replays,
+        "checkpoints_peak": peak,
         "digest": state_set_digest(visited),
         "reachable": {ctype: sorted(pairs) for ctype, pairs in reachable.items()},
         "relation": {ctype: sorted(pairs) for ctype, pairs in relation.items()},
@@ -617,9 +716,9 @@ def explore_cell(host="mesi", variant="full_state", addresses=1, n_cpus=2,
     }
 
 
-def _expand_frontier(cell, frontier, workers, check, channel_bound):
-    paths = [[list(a) for a in path] for path in frontier]
-    if workers <= 1 or len(paths) <= 1:
+def _expand_frontier(cell, paths, workers, check, channel_bound):
+    paths = [[list(a) for a in path] for path in paths]
+    if len(paths) <= 1:
         return _expand_paths(cell, paths, check, channel_bound)
     shards = shard_evenly(paths, workers * 4)
     jobs = [

@@ -9,8 +9,10 @@ disable the accelerator, alert the user).
 
 import enum
 
+from repro.sim.idenum import IdEnum
 
-class Guarantee(enum.Enum):
+
+class Guarantee(IdEnum):
     """The guarantees of Figure 1."""
 
     G0A_READ_PERMISSION = enum.auto()  # request without page access

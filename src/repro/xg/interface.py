@@ -9,8 +9,10 @@ remaining race is an accelerator Put passing a host Invalidate.
 
 import enum
 
+from repro.sim.idenum import IdEnum
 
-class AccelMsg(enum.Enum):
+
+class AccelMsg(IdEnum):
     """Every message type that may cross the XG<->accelerator interface."""
 
     # -- accelerator -> XG requests
@@ -64,7 +66,7 @@ CARRIES_DATA = frozenset(
 )
 
 
-class XGVariant(enum.Enum):
+class XGVariant(IdEnum):
     """The two Crossing Guard implementations of Section 2.3."""
 
     FULL_STATE = enum.auto()

@@ -6,10 +6,10 @@ table is indexed by page; permissions apply to whole pages as in Border
 Control [23].
 """
 
-import enum
+from repro.sim.idenum import IdEnum
 
 
-class PagePermission(enum.Enum):
+class PagePermission(IdEnum):
     NONE = 0
     READ = 1
     READ_WRITE = 2

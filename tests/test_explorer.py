@@ -18,8 +18,10 @@ from repro.host.system import build_system
 from repro.obs.matrix import CellSummary, render_missing
 from repro.obs import CoverageMatrix
 from repro.testing.invariants import InvariantError
+from repro.verify import explorer
 from repro.verify.explorer import (
     ADDRESS_POOL,
+    CHECKPOINT_BUDGET,
     CHECKS,
     HOSTS,
     VARIANTS,
@@ -511,3 +513,42 @@ def test_one_cpu_cell_proved(host, variant):
 @pytest.mark.parametrize("host", sorted(HOSTS))
 def test_canonical_matches_reference_oracle_deep(host, variant):
     _check_canonical_against_reference(host, variant, walks=20, steps=30)
+
+
+# -- checkpoint/restore cost model ----------------------------------------------
+
+
+@pytest.mark.parametrize("host,variant", sorted(ONE_CPU_PROOFS))
+def test_serial_bfs_restores_instead_of_replaying(host, variant):
+    """Every expansion restores its parent's checkpoint: no path replays."""
+    result = explore_cell(host=host, variant=variant, addresses=1, n_cpus=1,
+                          max_states=300)
+    assert result["replays"] == 0
+    assert result["restores"] == result["transitions"]
+    assert 1 <= result["checkpoints_peak"] <= CHECKPOINT_BUDGET
+
+
+def test_one_cpu_proof_without_replays():
+    result = explore_cell(**CELL, n_cpus=1)
+    assert result["complete"]
+    assert (result["states"], result["transitions"]) == ONE_CPU_PROOFS[("mesi", "full_state")]
+    assert result["replays"] == 0
+
+
+def test_over_budget_states_replay_to_the_same_result(monkeypatch):
+    """Past the checkpoint budget a state replays its path from the root
+    checkpoint; the explored set does not change."""
+    full = explore_cell(**CELL, max_states=120)
+    monkeypatch.setattr(explorer, "CHECKPOINT_BUDGET", 3)
+    tight = explore_cell(**CELL, max_states=120)
+    assert tight["replays"] > 0
+    assert tight["checkpoints_peak"] <= 3
+    for key in ("digest", "states", "transitions", "quiescent_states",
+                "reachable", "projections"):
+        assert tight[key] == full[key]
+
+
+def test_sharded_levels_replay_each_path_once():
+    result = explore_cell(**CELL, max_states=80, workers=2)
+    assert result["replays"] > 0
+    assert result["restores"] + result["replays"] == result["transitions"]

@@ -7,9 +7,11 @@ stays correct, and every injected violation reaches the OS error log.
 
 import pytest
 
+from repro.accel.buggy import FloodingAccel
 from repro.host.config import HostProtocol
 from repro.testing.fuzzer import run_fuzz_campaign
-from repro.xg.interface import XGVariant
+from repro.testing.scenario import CHAOS, FUZZ, run_scenario
+from repro.xg.interface import AccelMsg, XGVariant
 
 MATRIX = [
     (host, variant)
@@ -99,3 +101,68 @@ def test_transactional_tolerant_host_absorbs_bad_writebacks():
     # XG corrected it — either way the host kept running.
     anomalies = system.directory.stats.get("protocol_anomalies")
     assert anomalies >= 0  # presence depends on interleaving; safety is above
+
+
+def _list_based_flood_tick(self):
+    """The flood tick before its idle path went cheap: the oracle below."""
+    if self.stopped:
+        return
+    rng = self.sim.rng
+    free = [a for a in self.addr_pool if a not in self.held]
+    if free:
+        addr = rng.choice(free)
+        self.held[addr] = self.sim.tick
+        self._emit(AccelMsg.GetM, addr, "accel_request")
+        self.requests_sent += 1
+    elif self.retry_after is not None:
+        stuck = [
+            a for a, since in self.held.items()
+            if self.sim.tick - since >= self.retry_after
+        ]
+        if stuck:
+            addr = rng.choice(stuck)
+            self.held[addr] = self.sim.tick
+            self._emit(AccelMsg.GetM, addr, "accel_request")
+            self.retries_sent += 1
+    self.sim.schedule(self.gap, self._tick)
+
+
+def _flood_trace(monkeypatch, scenario, tick=None):
+    emitted = []
+    real_emit = FloodingAccel._emit
+
+    def logged_emit(self, mtype, addr, port, data=None, dirty=False):
+        emitted.append((self.sim.tick, mtype.name, addr, port))
+        return real_emit(self, mtype, addr, port, data=data, dirty=dirty)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(FloodingAccel, "_emit", logged_emit)
+        if tick is not None:
+            patch.setattr(FloodingAccel, "_tick", tick)
+        _result, system = run_scenario(scenario)
+    flood = system.accel_caches[0]
+    return (emitted, flood.requests_sent, flood.retries_sent, dict(flood.held),
+            system.sim.tick, system.sim.rng.getstate())
+
+
+@pytest.mark.parametrize("retry_after", [None, 48])
+def test_flood_tick_matches_list_based_oracle(monkeypatch, retry_after):
+    """Same messages, same ticks, same RNG state as the list-based tick,
+    with and without re-requests of addresses the lossy link stranded."""
+    preset = FUZZ if retry_after is None else CHAOS
+    kwargs = {} if retry_after is None else {"retry_after": retry_after}
+    scenario = preset.replace(adversary="flood", duration=6000, cpu_ops=60,
+                              adversary_kwargs=kwargs)
+    fast = _flood_trace(monkeypatch, scenario)
+    oracle = _flood_trace(monkeypatch, scenario, tick=_list_based_flood_tick)
+    assert fast == oracle
+    assert fast[1] > 0
+    if retry_after is not None:
+        assert fast[2] > 0, "the lossy link must strand some addresses"
+
+
+def test_flood_with_an_empty_pool_stays_idle():
+    scenario = FUZZ.replace(adversary="flood", duration=200, cpu_ops=5,
+                            adversary_kwargs={"addr_pool": [], "retry_after": 1})
+    _result, system = run_scenario(scenario)
+    assert system.accel_caches[0].requests_sent == 0

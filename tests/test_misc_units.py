@@ -92,3 +92,41 @@ def test_full_run_determinism_end_to_end():
         return row["ticks"], row["host_net_messages"]
 
     assert one() == one()
+
+
+def _enum_classes_in_repro():
+    import enum
+    import importlib
+    import pkgutil
+
+    import repro
+
+    for info in pkgutil.walk_packages(repro.__path__, "repro."):
+        if not info.name.endswith("__main__"):
+            importlib.import_module(info.name)
+    pending, found = [enum.Enum], []
+    while pending:
+        cls = pending.pop()
+        pending.extend(cls.__subclasses__())
+        if cls.__module__.startswith("repro."):
+            found.append(cls)
+    return found
+
+
+def test_every_repro_enum_hashes_by_identity():
+    """Member hashing stays C-level: no Python ``Enum.__hash__`` frame per
+    dict probe on the dispatch, coverage and XG event maps."""
+    classes = _enum_classes_in_repro()
+    assert len(classes) >= 27
+    assert [cls.__name__ for cls in classes if cls.__hash__ is not object.__hash__] == []
+
+
+def test_name_of_renders_like_getattr_name_str():
+    from repro.protocols.mesi.messages import MesiMsg
+    from repro.sim.idenum import name_of
+
+    class Named:
+        name = None
+
+    for value in (MesiMsg.GetS, "probe", 7, None, Named()):
+        assert name_of(value) == getattr(value, "name", str(value))
