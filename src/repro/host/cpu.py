@@ -8,6 +8,7 @@ models — instruction semantics are irrelevant to coherence behavior, the
 load/store stream is what exercises the protocols.
 """
 
+from repro.coherence.snapshot import Multiset
 from repro.protocols.common import CpuOp
 from repro.sim.component import Component
 from repro.sim.message import Message
@@ -132,8 +133,8 @@ class Sequencer(Component):
         with the same ops in flight must snapshot identically.
         """
         return {
-            "outstanding": tuple(sorted(
+            "outstanding": Multiset.of(
                 (record.msg.addr, record.msg.mtype.name, record.msg.value)
                 for record in self.outstanding.values()
-            )),
+            ),
         }
