@@ -664,7 +664,8 @@ def _cmd_explore(args):
                     crosscheck = f"ok ({args.cross_check} seeds)"
             rows.append([
                 f"{host}/{variant}", result["states"], result["transitions"],
-                result["restores"], result["replays"], result["checkpoints_peak"],
+                result["slept"], result["restores"], result["replays"],
+                result["checkpoints_peak"],
                 result["quiescent_states"], result["depth"], status,
                 crosscheck, f"{elapsed:.1f}s",
             ])
@@ -675,7 +676,7 @@ def _cmd_explore(args):
                 for step in counterexample["path"]:
                     print(f"    {step}", file=sys.stderr)
     print(format_table(
-        ["cell", "states", "transitions", "restores", "replays",
+        ["cell", "states", "transitions", "slept", "restores", "replays",
          "checkpoints", "quiescent", "depth", "G0-G2", "cross-check", "time"],
         rows,
         title=f"reachability exploration ({args.addresses} address(es), "
