@@ -1,13 +1,15 @@
 """E12c — allocation profile: steady-state allocations per event.
 
-The struct-of-arrays event kernel claims the hot loop allocates nothing
-it keeps: integer cancellation tokens and per-tick slot buckets replace
-the per-event object churn of the tuple-heap kernel, and every delivered
-``Message`` is garbage once consumed. This bench verifies the claim on
-the synthetic engine mix after a warmup run primes the caches: net
-allocated blocks per event (post-GC) must be ~0, and the payload
-records tracemalloc net/peak plus gen-0 collection counts for the CI
-trajectory.
+The protocol path should keep nothing once a simulation is over: every
+delivered ``Message`` is garbage once consumed, the event kernel's
+integer tokens and per-tick buckets replace per-event objects, and TBEs,
+cache entries and XG's per-address state die with their system. This
+bench checks it on the 18-config E3 stress matrix that perfbench
+``stress`` runs (MESI, Hammer and MESIF hosts; controllers, TBEs, XG and
+the kernel all on the path), one warm-up run per configuration priming
+the program's caches first: net allocated blocks per event (post-GC)
+must be ~0, and the payload records tracemalloc net/peak plus gen-0
+collection counts for the CI trajectory.
 
 Set ``BENCH_ALLOC_OUT`` to control where the JSON lands (default:
 ``BENCH_alloc.json`` in the current directory; empty string disables
@@ -20,9 +22,9 @@ import os
 from repro.eval.profiling import alloc_benchmark_report
 from repro.eval.report import format_table
 
-#: A recycled steady state may still retain a handful of blocks per run
-#: (fresh counter keys, lane clamps for new (sender, dest) pairs) — but
-#: per *event* the retained budget is effectively zero.
+#: A steady state may still retain a handful of blocks per run (a fresh
+#: counter key, an interned string) — but per *event* the retained
+#: budget is effectively zero.
 MAX_NET_BLOCKS_PER_EVENT = 0.05
 
 
@@ -30,7 +32,7 @@ def test_alloc_steady_state(once):
     report = once(alloc_benchmark_report)
     rows = [
         (
-            name,
+            label,
             w["events"],
             w["messages"],
             w["net_blocks"],
@@ -38,17 +40,19 @@ def test_alloc_steady_state(once):
             w["gc_gen0_collections"],
             f"{w['traced_peak_bytes'] / 1024:.1f}",
         )
-        for name, w in report["workloads"].items()
+        for label, w in report["workloads"].items()
     ]
     print()
     print(
         format_table(
-            ["workload", "events", "messages", "net blocks", "net/event",
+            ["config", "events", "messages", "net blocks", "net/event",
              "gen0 GCs", "peak KiB"],
             rows,
-            title="steady-state allocations (after warmup)",
+            title="steady-state allocations, E3 stress matrix (after warmup)",
         )
     )
+
+    print(f"worst: {report['worst_net_blocks_per_event']:.4f} net blocks/event")
 
     out = os.environ.get("BENCH_ALLOC_OUT", "BENCH_alloc.json")
     if out:

@@ -3,11 +3,11 @@
 The observability layer's contract is *near-zero cost when off*: with no
 ``Telemetry`` hub attached every hook is one attribute load plus an
 identity check, and with ``metrics=False`` the stat sinks are shared
-no-ops. This bench measures all three modes on the full protocol stack
+no-ops. This bench measures five modes on the full protocol stack
 (MESI L1/L2 + Crossing Guard + accelerator caches, where the hooks
-actually sit) plus the synthetic engine mix that ``BENCH_engine.json``
-tracks across versions, and writes the combined ``BENCH_obs.json``
-payload CI archives.
+actually sit), round-robin over five rounds with the order reversed
+every other round, compares each mode's median, and writes the
+``BENCH_obs.json`` payload CI archives.
 
 Set ``BENCH_OBS_OUT`` to control where the JSON lands (default:
 ``BENCH_obs.json`` in the current directory; empty string disables the
@@ -22,10 +22,7 @@ from repro.eval.report import format_table
 
 
 def test_obs_overhead(once):
-    report = once(
-        obs_overhead_report,
-        scale=int(os.environ.get("BENCH_OBS_SCALE", "1")),
-    )
+    report = once(obs_overhead_report)
     rows = [
         (mode, r["events"], r["final_tick"], f"{r['seconds']:.3f}",
          f"{r['events_per_sec']:,.0f}")
@@ -36,13 +33,19 @@ def test_obs_overhead(once):
         format_table(
             ["mode", "events", "final tick", "seconds", "events/sec"],
             rows,
-            title="telemetry overhead (XG stress workload)",
+            title=(f"telemetry overhead (XG stress workload, median of "
+                   f"{report['rounds']} round-robin rounds)"),
         )
     )
     for name, pct in report["overhead_pct"].items():
         print(f"  {name}: {pct:+.2f}%")
-    print(f"  engine mix (telemetry off): "
-          f"{report['engine_events_per_sec']:,.0f} events/sec")
+
+    # written before the budgets are checked, so a failing run is recorded
+    out = os.environ.get("BENCH_OBS_OUT", "BENCH_obs.json")
+    if out:
+        with open(out, "w") as fh:
+            json.dump(report, fh, indent=2, sort_keys=True)
+        print(f"wrote {out}")
 
     # All modes must simulate the *same* run: identical event counts and
     # final ticks, only wall-clock may differ. Any drift means telemetry
@@ -54,7 +57,6 @@ def test_obs_overhead(once):
     assert len(ticks) == 1, stress
     assert len(events) == 1, stress
     assert all(r["events_per_sec"] > 0 for r in stress.values())
-    assert report["engine_events_per_sec"] > 0
 
     # The campaign fabric (emitter + progress monitor) runs on the hot
     # path of every --live campaign; its budget is ≤2% throughput vs
@@ -76,9 +78,3 @@ def test_obs_overhead(once):
         f"lineage overhead {lineage_pct:+.2f}% exceeds "
         f"{lineage_tol:.1f}% budget"
     )
-
-    out = os.environ.get("BENCH_OBS_OUT", "BENCH_obs.json")
-    if out:
-        with open(out, "w") as fh:
-            json.dump(report, fh, indent=2, sort_keys=True)
-        print(f"wrote {out}")

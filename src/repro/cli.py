@@ -225,9 +225,7 @@ def _cmd_bench(args):
     if args.obs_out:
         from repro.eval.profiling import obs_overhead_report
 
-        obs_report = obs_overhead_report(
-            scale=args.scale, seed=args.seed, repeats=args.repeats
-        )
+        obs_report = obs_overhead_report(seed=args.seed)
         print()
         print(
             format_table(

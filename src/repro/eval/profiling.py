@@ -24,15 +24,25 @@ compared exactly across engine versions.
 """
 
 import cProfile
+import dataclasses
+import gc
 import io
 import os
 import pstats
+import statistics
+import sys
 import time
+import tracemalloc
+from contextlib import ExitStack
 
+from repro.eval.experiments import stress_configs
+from repro.host.config import AccelOrg, HostProtocol, SystemConfig
+from repro.host.system import build_system
 from repro.sim.component import Component
 from repro.sim.message import Message
 from repro.sim.network import FixedLatency, Network, RandomLatency
 from repro.sim.simulator import Simulator
+from repro.testing.random_tester import RandomTester
 
 
 class _Ponger(Component):
@@ -215,38 +225,54 @@ def run_engine_microbench(scale=1, seed=0, trace_depth=0, repeats=3):
     }
 
 
-def alloc_benchmark_report(seed=0, warmup_runs=1):
-    """Steady-state allocation profile of the engine mix (``BENCH_alloc.json``).
+#: The E3 stress matrix as perfbench ``stress`` drives it: every host x
+#: organization, tiny caches, random latencies, five contended blocks.
+ALLOC_HOSTS = (HostProtocol.MESI, HostProtocol.HAMMER, HostProtocol.MESIF)
+ALLOC_BLOCKS = tuple(0x1000 + 64 * i for i in range(5))
+ALLOC_OPS = 800
 
-    For each synthetic workload this runs ``warmup_runs`` throwaway
-    iterations first — priming route caches, counter keys, and string
-    interning — then measures one steady-state run two ways:
+
+def _stress_run(config):
+    """Build ``config``'s system and drive it with checked random traffic.
+
+    Returns ``(events, messages)``; nothing else of the run outlives the
+    call, so whatever it allocated is garbage once it returns.
+    """
+    system = build_system(config)
+    RandomTester(system.sim, system.sequencers, ALLOC_BLOCKS,
+                 ops_target=ALLOC_OPS, store_fraction=0.45).run()
+    return (system.sim._events_fired,
+            sum(net.stats.get("messages") for net in system.sim.networks))
+
+
+def alloc_benchmark_report(seed=0, warmup_runs=1):
+    """Steady-state allocation profile of the protocol path (``BENCH_alloc.json``).
+
+    For each of the 18 E3 stress configurations (MESI, Hammer and MESIF
+    hosts; accelerator-side, host-side and both XG variants at one and
+    two accelerator levels) this runs ``warmup_runs`` throwaway runs
+    first -- priming compiled dispatch tables, route caches, counter keys
+    and string interning -- then measures one steady-state run two ways:
 
     * **net allocated blocks** (``sys.getallocatedblocks`` delta across
-      the run, garbage-collected on both sides): what the run *retained*.
-      With the struct-of-arrays event kernel this is ~0 per event — the
-      no-leak guarantee the perf gate story rests on;
+      the run, garbage-collected on both sides): what the run *retained*
+      once its system is gone. Controllers, TBEs, XG and the event
+      kernel together should keep ~0 per event;
     * **tracemalloc** net/peak bytes in a second pass (tracemalloc skews
       block counts, so it never overlaps the block measurement);
     * **gen-0 GC collections** during the run: transient container churn
       (tuples, argument frames) that never survives a collection.
     """
-    import gc
-    import sys
-    import tracemalloc
-
     workloads = {}
-    for name, fn in ENGINE_WORKLOADS.items():
+    for config in stress_configs(seed, hosts=ALLOC_HOSTS):
+        config = dataclasses.replace(config, trace_depth=0)
         for _ in range(max(1, warmup_runs)):
-            fn(seed=seed)
+            _stress_run(config)
         gc.collect()
         gen0_before = gc.get_stats()[0]["collections"]
         blocks_before = sys.getallocatedblocks()
-        row = fn(seed=seed)
+        events, messages = _stress_run(config)
         gen0_during = gc.get_stats()[0]["collections"] - gen0_before
-        events = row["events"]
-        messages = row["messages"]
-        del row  # drop the report dict before the closing measurement
         gc.collect()
         net_blocks = sys.getallocatedblocks() - blocks_before
 
@@ -254,11 +280,11 @@ def alloc_benchmark_report(seed=0, warmup_runs=1):
         traced_before, _ = tracemalloc.get_traced_memory()
         if hasattr(tracemalloc, "reset_peak"):
             tracemalloc.reset_peak()
-        fn(seed=seed)
+        _stress_run(config)
         traced_after, traced_peak = tracemalloc.get_traced_memory()
         tracemalloc.stop()
 
-        workloads[name] = {
+        workloads[config.label] = {
             "events": events,
             "messages": messages,
             "net_blocks": net_blocks,
@@ -317,7 +343,7 @@ def campaign_wallclock(workers_list=(1, None), seeds=range(1), ops_per_run=400,
     return rows
 
 
-def bench_xg_stress(mode="default", seed=0, ops=1200, repeats=3):
+def bench_xg_stress(mode="default", seed=0, ops=1200):
     """Protocol-path throughput: one small stress run through XG, timed.
 
     Unlike the synthetic engine mix, this pays the full coherence stack —
@@ -333,72 +359,61 @@ def bench_xg_stress(mode="default", seed=0, ops=1200, repeats=3):
     * ``"lineage"``     — causal lineage + span recording on (the
       ``repro blame`` path: every send/fire/stall books a cause record).
     """
-    from contextlib import ExitStack
+    config = SystemConfig(
+        host=HostProtocol.MESI,
+        org=AccelOrg.XG,
+        n_cpus=2,
+        n_accel_cores=2,
+        cpu_l1_sets=2,
+        cpu_l1_assoc=1,
+        shared_l2_sets=4,
+        shared_l2_assoc=2,
+        accel_l1_sets=2,
+        accel_l1_assoc=1,
+        randomize_latencies=True,
+        seed=seed,
+        deadlock_threshold=400_000,
+        accel_timeout=150_000,
+        mem_latency=30,
+        trace_depth=0,
+        metrics=mode != "metrics_off",
+        lineage=mode == "lineage",
+    )
+    with ExitStack() as stack:
+        if mode == "fabric":
+            # the progress hook must be live before build_system — the
+            # Simulator picks it up at construction
+            from repro.obs.fabric import FabricCollector, inproc_session
 
-    from repro.host.config import AccelOrg, HostProtocol, SystemConfig
-    from repro.host.system import build_system
-    from repro.testing.random_tester import RandomTester
+            collector = FabricCollector(renderer=None)
+            stack.enter_context(inproc_session(collector, label="bench"))
+        system = build_system(config)
+        if mode == "traced":
+            from repro.obs import Telemetry
 
-    best = None
-    for _ in range(max(1, repeats)):
-        config = SystemConfig(
-            host=HostProtocol.MESI,
-            org=AccelOrg.XG,
-            n_cpus=2,
-            n_accel_cores=2,
-            cpu_l1_sets=2,
-            cpu_l1_assoc=1,
-            shared_l2_sets=4,
-            shared_l2_assoc=2,
-            accel_l1_sets=2,
-            accel_l1_assoc=1,
-            randomize_latencies=True,
-            seed=seed,
-            deadlock_threshold=400_000,
-            accel_timeout=150_000,
-            mem_latency=30,
-            trace_depth=0,
-            metrics=mode != "metrics_off",
-            lineage=mode == "lineage",
+            Telemetry(system.sim)
+        elif mode == "lineage":
+            # spans only — transition recording would drown the
+            # lineage cost being measured
+            from repro.obs import Telemetry
+
+            Telemetry(system.sim, transitions=False)
+        blocks = [0x1000 + 64 * i for i in range(6)]
+        tester = RandomTester(
+            system.sim, system.sequencers, blocks,
+            ops_target=ops, store_fraction=0.45,
         )
-        with ExitStack() as stack:
-            if mode == "fabric":
-                # the progress hook must be live before build_system — the
-                # Simulator picks it up at construction
-                from repro.obs.fabric import FabricCollector, inproc_session
-
-                collector = FabricCollector(renderer=None)
-                stack.enter_context(inproc_session(collector, label="bench"))
-            system = build_system(config)
-            if mode == "traced":
-                from repro.obs import Telemetry
-
-                Telemetry(system.sim)
-            elif mode == "lineage":
-                # spans only — transition recording would drown the
-                # lineage cost being measured
-                from repro.obs import Telemetry
-
-                Telemetry(system.sim, transitions=False)
-            blocks = [0x1000 + 64 * i for i in range(6)]
-            tester = RandomTester(
-                system.sim, system.sequencers, blocks,
-                ops_target=ops, store_fraction=0.45,
-            )
-            start = time.perf_counter()
-            tester.run()
-            elapsed = time.perf_counter() - start
-        row = {
-            "workload": "xg_stress",
-            "mode": mode,
-            "events": system.sim._events_fired,
-            "final_tick": system.sim.tick,
-            "seconds": elapsed,
-            "events_per_sec": system.sim._events_fired / elapsed if elapsed else 0.0,
-        }
-        if best is None or row["seconds"] < best["seconds"]:
-            best = row
-    return best
+        start = time.perf_counter()
+        tester.run()
+        elapsed = time.perf_counter() - start
+    return {
+        "workload": "xg_stress",
+        "mode": mode,
+        "events": system.sim._events_fired,
+        "final_tick": system.sim.tick,
+        "seconds": elapsed,
+        "events_per_sec": system.sim._events_fired / elapsed if elapsed else 0.0,
+    }
 
 
 def dispatch_breakdown(host=None, seed=0, ops=1200):
@@ -477,21 +492,36 @@ def dispatch_breakdown(host=None, seed=0, ops=1200):
     }
 
 
-def obs_overhead_report(scale=1, seed=0, repeats=3, stress_ops=1200):
+#: Telemetry modes :func:`obs_overhead_report` compares.
+OBS_MODES = ("metrics_off", "default", "traced", "fabric", "lineage")
+
+#: Round-robin rounds per mode; each mode's time is its median over them.
+OBS_ROUNDS = 5
+
+
+def obs_overhead_report(seed=0, stress_ops=1200):
     """The ``BENCH_obs.json`` payload: telemetry cost accounting.
 
-    ``engine`` is the synthetic mix with telemetry off — directly
-    comparable to ``BENCH_engine.json`` across versions (the "telemetry
-    must cost nothing when off" acceptance number). ``xg_stress`` runs
-    the full protocol stack in all three modes and reports the relative
-    overheads; event counts are deterministic per seed, so mode rows are
-    comparable exactly.
+    ``xg_stress`` runs the full protocol stack once per mode per round,
+    the five modes round-robin, in reverse order every other round, so
+    no mode always runs first or last while the host drifts; each mode's
+    time is its median over :data:`OBS_ROUNDS` rounds. Event counts are
+    deterministic per seed, so mode rows are comparable exactly.
     """
-    engine = run_engine_microbench(scale=scale, seed=seed, repeats=repeats)
+    samples = {mode: [] for mode in OBS_MODES}
+    for index in range(OBS_ROUNDS):
+        for mode in OBS_MODES if index % 2 == 0 else OBS_MODES[::-1]:
+            samples[mode].append(bench_xg_stress(mode=mode, seed=seed, ops=stress_ops))
     modes = {}
-    for mode in ("metrics_off", "default", "traced", "fabric", "lineage"):
-        modes[mode] = bench_xg_stress(mode=mode, seed=seed, ops=stress_ops,
-                                      repeats=repeats)
+    for mode, runs in samples.items():
+        seconds = statistics.median(run["seconds"] for run in runs)
+        modes[mode] = {
+            "events": runs[0]["events"],
+            "final_tick": runs[0]["final_tick"],
+            "seconds": seconds,
+            "seconds_samples": [run["seconds"] for run in runs],
+            "events_per_sec": runs[0]["events"] / seconds if seconds else 0.0,
+        }
     default_eps = modes["default"]["events_per_sec"]
     off_eps = modes["metrics_off"]["events_per_sec"]
     traced_eps = modes["traced"]["events_per_sec"]
@@ -500,17 +530,8 @@ def obs_overhead_report(scale=1, seed=0, repeats=3, stress_ops=1200):
     return {
         "bench": "obs_overhead",
         "unit": "events_per_sec",
-        "scale": scale,
         "seed": seed,
-        "engine_events_per_sec": engine["events_per_sec"],
-        "engine": {
-            r["workload"]: {
-                "events": r["events"],
-                "seconds": r["seconds"],
-                "events_per_sec": r["events_per_sec"],
-            }
-            for r in engine["workloads"]
-        },
+        "rounds": OBS_ROUNDS,
         "xg_stress": modes,
         "overhead_pct": {
             # metrics accounting cost relative to the all-no-op mode
