@@ -14,7 +14,6 @@ Commands:
   breakdown plus the slowest transactions with their critical paths;
 * ``top``         — live campaign view: stress sweep under the telemetry
   fabric with per-worker throughput/heartbeats, then the fabric summary;
-* ``bench``       — engine events/sec microbenchmark + campaign wall-clock;
 * ``golden``      — golden-run digests: verify against the committed file,
   prove compiled/legacy dispatch equivalence, or refresh with ``--update``;
 * ``verify``      — exhaustive single-address interface verification;
@@ -141,109 +140,6 @@ def _cmd_stress(args):
         if failure.get("diagnosis"):
             print(failure["diagnosis"])
     return 1 if failures else 0
-
-
-def _cmd_bench(args):
-    import json
-
-    from repro.eval.profiling import engine_benchmark_report
-
-    report = engine_benchmark_report(
-        scale=args.scale,
-        seed=args.seed,
-        include_campaign=not args.no_campaign,
-        workers=args.workers,
-        repeats=args.repeats,
-    )
-    rows = [
-        (name, w["events"], w["final_tick"], f"{w['seconds']:.3f}",
-         f"{w['events_per_sec']:,.0f}")
-        for name, w in report["workloads"].items()
-    ]
-    rows.append(
-        ("TOTAL", report["events"], "-", f"{report['seconds']:.3f}",
-         f"{report['events_per_sec']:,.0f}")
-    )
-    print(
-        format_table(
-            ["workload", "events", "final tick", "seconds", "events/sec"],
-            rows,
-            title="engine throughput (synthetic mix)",
-        )
-    )
-    if "campaign" in report:
-        print()
-        print(
-            format_table(
-                ["workers", "seconds", "runs", "speedup"],
-                [
-                    (r["workers"], f"{r['seconds']:.2f}", r["runs"],
-                     f"{r['speedup_vs_serial']:.2f}x" if r["speedup_vs_serial"] else "-")
-                    for r in report["campaign"]["rows"]
-                ],
-                title="campaign wall-clock",
-            )
-        )
-    if "dispatch" in report:
-        dispatch = report["dispatch"]
-        print()
-        print(
-            format_table(
-                ["controller", "count", "entries", "fires", "fires %", "stalls"],
-                [
-                    (ctype, row["controllers"], row["table_entries"],
-                     row["fires"], f"{row['fires_pct']:.1f}%", row["stalls"])
-                    for ctype, row in dispatch["controllers"].items()
-                ],
-                title=(f"dispatch breakdown ({dispatch['host']} stress, "
-                       f"{dispatch['dispatch_mode']} mode, "
-                       f"{dispatch['events_per_sec']:,.0f} events/sec)"),
-            )
-        )
-    if args.out:
-        with open(args.out, "w") as fh:
-            json.dump(report, fh, indent=2, sort_keys=True)
-        print(f"\nwrote {args.out}")
-    if args.baseline:
-        from repro.eval.perf_gate import (
-            compare_reports,
-            format_comparison,
-            load_report,
-            write_comparison,
-        )
-
-        comparison = compare_reports(
-            report, load_report(args.baseline), tolerance=args.tolerance
-        )
-        print()
-        print(format_comparison(comparison))
-        if args.gate_out:
-            write_comparison(comparison, args.gate_out)
-            print(f"wrote {args.gate_out}")
-        if not comparison["passed"]:
-            return 1
-    if args.obs_out:
-        from repro.eval.profiling import obs_overhead_report
-
-        obs_report = obs_overhead_report(seed=args.seed)
-        print()
-        print(
-            format_table(
-                ["mode", "events", "seconds", "events/sec"],
-                [
-                    (mode, r["events"], f"{r['seconds']:.3f}",
-                     f"{r['events_per_sec']:,.0f}")
-                    for mode, r in obs_report["xg_stress"].items()
-                ],
-                title="telemetry overhead (XG stress workload)",
-            )
-        )
-        for name, pct in obs_report["overhead_pct"].items():
-            print(f"  {name}: {pct:+.2f}%")
-        with open(args.obs_out, "w") as fh:
-            json.dump(obs_report, fh, indent=2, sort_keys=True)
-        print(f"\nwrote {args.obs_out}")
-    return 0
 
 
 def _cmd_golden(args):
@@ -852,32 +748,6 @@ def build_parser():
                         help="with --live, write the campaign_dash.json "
                              "fabric summary + BENCH_*.json history here")
     stress.set_defaults(fn=_cmd_stress)
-
-    bench = sub.add_parser("bench", help="engine events/sec + campaign wall-clock")
-    bench.add_argument("--scale", type=int, default=1)
-    bench.add_argument("--seed", type=int, default=0)
-    bench.add_argument("--repeats", type=int, default=3,
-                       help="timing repeats per workload (best is kept)")
-    bench.add_argument("--workers", type=int, default=None,
-                       help="parallel worker count for the campaign half "
-                            "(default: cpu count)")
-    bench.add_argument("--no-campaign", action="store_true",
-                       help="skip the campaign wall-clock comparison")
-    bench.add_argument("--obs-out", dest="obs_out", default=None, metavar="PATH",
-                       help="also measure telemetry overhead (metrics_off / "
-                            "default / traced) and write BENCH_obs.json there")
-    bench.add_argument("--out", default=None, metavar="PATH",
-                       help="write the BENCH_engine.json payload here")
-    bench.add_argument("--baseline", default=None, metavar="PATH",
-                       help="gate events/sec against this committed baseline "
-                            "report; exit 1 on regression")
-    bench.add_argument("--tolerance", type=float, default=0.30,
-                       help="fractional events/sec slowdown the gate "
-                            "tolerates (deterministic counts are exact)")
-    bench.add_argument("--gate-out", dest="gate_out", default=None,
-                       metavar="PATH", help="write the gate comparison JSON "
-                       "here (CI archives it)")
-    bench.set_defaults(fn=_cmd_bench)
 
     golden = sub.add_parser(
         "golden", help="golden-run digests: verify, prove equivalence, or refresh"

@@ -19,10 +19,6 @@ from repro.eval.experiments import (
     run_fuzz_matrix,
 )
 from repro.eval.perf import run_perf_sweep
-from repro.eval.profiling import (
-    engine_benchmark_report,
-    run_engine_microbench,
-)
 from repro.eval.overheads import (
     run_storage_comparison,
     run_puts_overhead,
@@ -34,13 +30,11 @@ from repro.eval.overheads import (
 __all__ = [
     "CampaignJob",
     "CampaignOutcome",
-    "engine_benchmark_report",
     "format_table",
     "normalize_rows",
     "resolve_workers",
     "run_block_translation",
     "run_campaign",
-    "run_engine_microbench",
     "run_complexity_comparison",
     "run_fuzz_matrix",
     "run_perf_sweep",

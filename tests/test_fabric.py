@@ -594,13 +594,13 @@ def test_format_fabric_summary_shows_workers_and_sketches():
 
 
 def test_campaign_dashboard_folds_bench_history(tmp_path):
-    bench = tmp_path / "BENCH_engine.json"
-    bench.write_text(json.dumps({"bench": "engine", "events_per_sec": 123}))
+    bench = tmp_path / "BENCH_alloc.json"
+    bench.write_text(json.dumps({"bench": "alloc_steady_state", "worst_net_blocks_per_event": 0}))
     (tmp_path / "BENCH_bad.json").write_text("{nope")
     summary = _collector_with_traffic().summary()
     payload = build_campaign_dashboard(summary, bench_dir=str(tmp_path))
     assert payload["schema"] == "repro.campaign_dash/1"
-    assert payload["bench"]["BENCH_engine"]["events_per_sec"] == 123
+    assert payload["bench"]["BENCH_alloc"]["worst_net_blocks_per_event"] == 0
     assert "error" in payload["bench"]["BENCH_bad"]
     out = tmp_path / "campaign_dash.json"
     write_campaign_dashboard(str(out), summary, bench_dir=str(tmp_path))
