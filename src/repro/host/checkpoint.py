@@ -5,8 +5,8 @@ frontier state by restoring its parent before every child's action,
 instead of replaying the parent's path on a freshly built system. A
 restore must bring back everything such a replay would rebuild: not just
 the logical state ``snapshot_state()`` hashes, but the physical history
-that steers later behaviour — LRU clocks, message uids, ticks, pending
-timers, RNG state and the event queue's slot columns.
+that steers later behaviour — LRU clocks, ticks, pending timers, RNG
+state and the event queue's slot columns.
 
 Two rules make a restore safe without recompiling anything:
 
@@ -43,14 +43,10 @@ field added later cannot silently escape restores.
 Limits: telemetry, lineage and run-loop monitors keep their own state and
 are refused, as are link fault plans and accelerator models without a
 declared plan; pending callbacks must be bound methods of fixed objects.
-The message uid counter is process-global, so a restore rewinds it for
-every system in the process: interleave other systems' message creation
-with a restored timeline and their uids may repeat.
 """
 
 import functools
 import io
-import itertools
 import pickle
 import random
 from collections import defaultdict, deque
@@ -71,7 +67,6 @@ from repro.protocols.hammer.cache import HammerCache
 from repro.protocols.hammer.directory import HammerDirectory
 from repro.protocols.mesi.l1 import MesiL1
 from repro.protocols.mesi.l2 import MesiL2
-from repro.sim import message
 from repro.sim.component import Component, MessageBuffer
 from repro.sim.event import Event, EventQueue
 from repro.sim.idenum import IdEnum
@@ -178,13 +173,12 @@ class CheckpointError(RuntimeError):
 class Checkpoint:
     """One captured physical state; restore it with :meth:`System.restore`."""
 
-    __slots__ = ("owner", "data", "rngs", "uid", "extras")
+    __slots__ = ("owner", "data", "rngs", "extras")
 
-    def __init__(self, owner, data, rngs, uid, extras):
+    def __init__(self, owner, data, rngs, extras):
         self.owner = owner
         self.data = data
         self.rngs = rngs
-        self.uid = uid
         self.extras = extras
 
 
@@ -426,10 +420,7 @@ class SystemCheckpointer:
             rngs = self.last_rngs  # unchanged: share one copy
         else:
             self.last_rngs = rngs
-        # read the global uid counter without losing the value read
-        uid = next(message._MSG_IDS)
-        message._MSG_IDS = itertools.count(uid)
-        return Checkpoint(self, buf.getvalue(), rngs, uid, tuple(extras))
+        return Checkpoint(self, buf.getvalue(), rngs, tuple(extras))
 
     def restore(self, checkpoint):
         if checkpoint.owner is not self:
@@ -445,4 +436,3 @@ class SystemCheckpointer:
             _REFILLS[type(live)](live, saved)
         for (obj, name), rng_state in zip(self.rng_slots, checkpoint.rngs):
             getattr(obj, name).setstate(rng_state)
-        message._MSG_IDS = itertools.count(checkpoint.uid)

@@ -6,10 +6,14 @@ protocols need (address, data payload, requestor identity, ack counts,
 dirty bits). Unused fields stay at their defaults.
 
 Every ``Message(...)`` call allocates a fresh instance and draws the next
-``uid`` from one global counter, so uid streams — and therefore the
-golden-run digests and ordered-network tie-breaks built on them — are a
-pure function of the order messages are created in. :meth:`Message.clone`
-copies the uid of its original without consuming a counter value.
+``uid`` from one process-global counter, so uids are unique and
+increasing across every system in the process; nothing rewinds the
+counter. Nothing reads a uid's absolute value: snapshots, canonical text
+and golden digests leave uids out, equal-tick arrivals are ordered by
+each port buffer's own sequence numbers, and XG's duplicate filter and
+the sequencers' outstanding-request maps only compare uids for equality.
+:meth:`Message.clone` copies the uid of its original without consuming a
+counter value.
 """
 
 import itertools
@@ -33,7 +37,8 @@ class Message:
         dirty: True when the payload is modified with respect to memory.
         shared_hint: Hammer-style hint that the responder held the block
             (decides S vs E at the requestor).
-        uid: unique id for tracing and ordered-network tie-breaking.
+        uid: process-unique id, shared by a message and its clones; for
+            tracing and duplicate detection.
     """
 
     __slots__ = (
