@@ -51,16 +51,6 @@ class LatencySketch:
         bucket = int(value) // self.bucket_width
         self.buckets[bucket] = self.buckets.get(bucket, 0) + 1
 
-    def observe_bucketed(self, bucket, count, total, low, high):
-        """Fold ``count`` pre-bucketed observations in (exact-width source)."""
-        self.count += count
-        self.total += total
-        if low is not None and (self.min is None or low < self.min):
-            self.min = low
-        if high is not None and (self.max is None or high > self.max):
-            self.max = high
-        self.buckets[bucket] = self.buckets.get(bucket, 0) + count
-
     @property
     def mean(self):
         return self.total / self.count if self.count else 0.0

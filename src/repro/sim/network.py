@@ -88,7 +88,7 @@ class Network:
         self._mtype_keys = {}
         # (dest, port) -> (component, buffer): validated once, then every
         # later send is a single dict probe instead of two lookups plus a
-        # port-membership check. Invalidated by detach().
+        # port-membership check.
         self._routes = {}
         # FixedLatency is the overwhelmingly common model; resolve it to a
         # constant so the per-send sample() call disappears.
@@ -103,26 +103,6 @@ class Network:
         if component.name in self._endpoints:
             raise ValueError(f"duplicate endpoint {component.name!r} on {self.name}")
         self._endpoints[component.name] = component
-
-    def detach(self, name):
-        """Unregister endpoint ``name`` and forget its ordered-lane history.
-
-        Multi-phase experiments that rebuild one side of a network (e.g.
-        swapping the accelerator model between campaigns) must not inherit
-        the old endpoint's lane clamps — a stale ``_last_arrival`` far in
-        the future would silently delay every message of the next phase.
-        """
-        if name not in self._endpoints:
-            raise KeyError(f"{self.name}: no endpoint {name!r} to detach")
-        del self._endpoints[name]
-        self._routes.clear()
-        self._endpoint_delay.pop(name, None)
-        for lane in [l for l in self._last_arrival if name in l]:
-            del self._last_arrival[lane]
-
-    def reset_lanes(self):
-        """Clear all ordered-lane clamps (e.g. between reuse phases)."""
-        self._last_arrival.clear()
 
     def endpoints(self):
         return list(self._endpoints)

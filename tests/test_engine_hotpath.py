@@ -259,41 +259,3 @@ def test_broadcast_respects_factory_set_destination():
     sim.run()
     assert got.get("x") == ["x"]
     assert got["y"] == ["y", "y", "y"]
-
-
-# -- network detach / lane reset ---------------------------------------------
-
-
-def test_detach_forgets_endpoint_and_lanes():
-    sim = Simulator()
-    net = Network(sim, FixedLatency(1), ordered=True, name="t")
-    a, b = _Echo(sim, "a"), _Echo(sim, "b")
-    net.attach(a)
-    net.attach(b)
-    net.send(Message("m", 0, sender="a", dest="b"), "inbox")
-    assert ("a", "b") in net._last_arrival
-    net.detach("b")
-    assert net.endpoints() == ["a"]
-    assert not net._last_arrival
-    with pytest.raises(KeyError):
-        net.send(Message("m", 0, sender="a", dest="b"), "inbox")
-    with pytest.raises(KeyError):
-        net.detach("b")
-    # reattach: a fresh endpoint must not inherit the old lane clamp
-    net.attach(_Echo(sim, "b"))
-    arrival = net.send(Message("m", 0, sender="a", dest="b"), "inbox")
-    assert arrival == sim.tick + 1
-    sim.run()
-
-
-def test_reset_lanes_clears_clamps():
-    sim = Simulator()
-    net = Network(sim, FixedLatency(1), ordered=True, name="t")
-    net.attach(_Echo(sim, "a"))
-    net.attach(_Echo(sim, "b"))
-    first = net.send(Message("m", 0, sender="a", dest="b"), "inbox")
-    clamped = net.send(Message("m", 0, sender="a", dest="b"), "inbox")
-    assert clamped == first + 1
-    sim.run()
-    net.reset_lanes()
-    assert not net._last_arrival
