@@ -32,7 +32,7 @@ def test_alloc_steady_state(once):
     report = once(alloc_benchmark_report)
     rows = [
         (
-            label,
+            name,
             w["events"],
             w["messages"],
             w["net_blocks"],
@@ -40,7 +40,7 @@ def test_alloc_steady_state(once):
             w["gc_gen0_collections"],
             f"{w['traced_peak_bytes'] / 1024:.1f}",
         )
-        for label, w in report["workloads"].items()
+        for name, w in report["workloads"].items()
     ]
     print()
     print(

@@ -5,15 +5,15 @@ itself is protocol-agnostic and carries the handful of fields coherence
 protocols need (address, data payload, requestor identity, ack counts,
 dirty bits). Unused fields stay at their defaults.
 
-Every ``Message(...)`` call allocates a fresh instance and draws the next
-``uid`` from one process-global counter, so uids are unique and
+Every ``Message(...)`` call allocates a fresh instance and draws the
+next ``uid`` from one process-global counter, so uids are unique and
 increasing across every system in the process; nothing rewinds the
-counter. Nothing reads a uid's absolute value: snapshots, canonical text
-and golden digests leave uids out, equal-tick arrivals are ordered by
-each port buffer's own sequence numbers, and XG's duplicate filter and
-the sequencers' outstanding-request maps only compare uids for equality.
-:meth:`Message.clone` copies the uid of its original without consuming a
-counter value.
+counter. No simulated result depends on a uid's value: snapshots,
+canonical text and golden digests leave uids out, equal-tick arrivals
+are ordered by each port buffer's own sequence numbers, and XG's
+duplicate filter and the sequencers' outstanding-request maps only
+compare uids for equality. :meth:`Message.clone` copies the uid of its
+original without consuming a counter value.
 """
 
 import itertools
