@@ -40,8 +40,8 @@ SEED = 1
 TIMEOUT_FACTOR = 30
 
 
-def load_spec(root=ROOT):
-    with open(root / "BENCHMARK.json") as fh:
+def load_spec():
+    with open(ROOT / "BENCHMARK.json") as fh:
         spec = json.load(fh)
     return spec["command"], spec["run_seconds"], spec["end_to_end"]
 

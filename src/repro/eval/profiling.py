@@ -174,12 +174,9 @@ def bench_xg_stress(mode="default", seed=0, ops=1200):
         tester.run()
         elapsed = time.perf_counter() - start
     return {
-        "workload": "xg_stress",
-        "mode": mode,
         "events": system.sim._events_fired,
         "final_tick": system.sim.tick,
         "seconds": elapsed,
-        "events_per_sec": system.sim._events_fired / elapsed if elapsed else 0.0,
     }
 
 
