@@ -19,15 +19,32 @@ Two rules make a restore safe without recompiling anything:
   run loop binds the queue's columns. A restore writes their attributes
   back and refills every container attribute in place — a dict, set,
   list, deque or defaultdict is never rebound.
-* **Everything else is one copied value.** Cache entries, TBEs,
-  messages, data blocks, timer events and mirror entries come and go;
-  they are serialized together, with the fixed objects' captured
-  attributes, by one pickle whose memo is pre-seeded with the fixed
-  objects, their wakeup callbacks and every :class:`IdEnum` member. A
-  reference from a copied object to a fixed one (an event's queue, a
-  timer's bound method) therefore comes back as the live object, and
-  aliasing among copied objects (an XG probe timeout is held both by its
-  TBE and by the queue's slot column) survives the round trip.
+* **No copied object is shared between groups.** The fixed objects fall
+  into groups (:func:`partition`): one per controller with everything it
+  owns — its port buffers, cache array, TBE table and stats, the
+  sequencers that feed it, main memory for the directory/L2, and an
+  XG's error log, rate limiter and permission table — one for the
+  networks, and the *core*: the simulator, the event queue and every XG
+  TBE table. A checkpoint holds one pickle per group of the group's
+  captured attributes. Cache entries, TBEs, messages, data blocks, timer
+  events and mirror entries are copied by value inside their group's
+  pickle, whose memo is pre-seeded with the fixed objects, their wakeup
+  callbacks and every :class:`IdEnum` member, so a reference from a
+  copied object to a fixed one (an event's queue, a timer's bound
+  method) comes back as the live object. Aliasing survives only within a
+  pickle, so the two aliases a system holds sit inside one group each: a
+  sequencer's request message is held by the sequencer and by its
+  cache's TBE table, and an XG probe timeout by XG's TBE table and by the
+  queue's slot column.
+
+Groups let a caller that knows what changed touch only that. A
+checkpoint taken against a *base* — the checkpoint the live objects
+last matched — pickles only the groups changed since and shares every
+other group's bytes with the base; a restore against the base writes
+back only the groups whose bytes differ or that changed. Every group
+that is written is read by one unpickler from one stream, so the seeded
+memo is copied once per restore. :meth:`repro.host.system.System.checkpoint`
+and ``restore`` take no base: they pickle and write back every group.
 
 A checkpoint is compact — a few kilobytes of pickle bytes — so the
 explorer can hold one per frontier state. Capture walks no object graph
@@ -171,15 +188,18 @@ class CheckpointError(RuntimeError):
 
 
 class Checkpoint:
-    """One captured physical state; restore it with :meth:`System.restore`."""
+    """One captured physical state; restore it with :meth:`System.restore`.
 
-    __slots__ = ("owner", "data", "rngs", "extras")
+    ``groups`` holds one pickle per group of :func:`partition`, in its
+    order; ``rngs`` the ``getstate()`` of every RNG attribute.
+    """
 
-    def __init__(self, owner, data, rngs, extras):
+    __slots__ = ("owner", "groups", "rngs")
+
+    def __init__(self, owner, groups, rngs):
         self.owner = owner
-        self.data = data
+        self.groups = groups
         self.rngs = rngs
-        self.extras = extras
 
 
 @functools.lru_cache(maxsize=None)
@@ -211,13 +231,27 @@ def unclassified(obj):
                   for name in _attributes(obj) - known)
 
 
+def _wired(obj):
+    """Fixed objects ``obj`` holds in attributes its plan does not capture:
+    the attribute values, and the items of lists, tuples and dict values
+    held there."""
+    for name in sorted(_attributes(obj) - set(_plan(type(obj))[0])):
+        value = getattr(obj, name)
+        items = (value,)
+        if isinstance(value, (list, tuple)):
+            items = value
+        elif isinstance(value, dict):
+            items = value.values()
+        for item in items:
+            if _plan(type(item)) is not None:
+                yield item
+
+
 def fixed_objects(system):
     """Every object a restore writes into, in discovery order.
 
-    Starts from the simulator and main memory and follows the wiring —
-    every attribute a plan does not capture, and the items of lists,
-    tuples and dict values held there — to every instance of a class
-    with a declared plan.
+    Starts from the simulator and main memory and follows the wiring
+    (:func:`_wired`) to every instance of a class with a declared plan.
     """
     found = []
     seen = set()
@@ -228,50 +262,82 @@ def fixed_objects(system):
             continue
         seen.add(id(obj))
         found.append(obj)
-        for name in sorted(_attributes(obj) - set(_plan(type(obj))[0])):
-            value = getattr(obj, name)
-            items = (value,)
-            if isinstance(value, (list, tuple)):
-                items = value
-            elif isinstance(value, dict):
-                items = value.values()
-            for item in items:
-                if _plan(type(item)) is not None and id(item) not in seen:
-                    pending.append(item)
+        pending.extend(item for item in _wired(obj) if id(item) not in seen)
     return found
+
+
+#: Index of the core group in :func:`partition`.
+CORE = 0
+
+
+def partition(system):
+    """The fixed objects of ``system`` in groups, each in discovery order.
+
+    Group :data:`CORE` is the simulator, the event queue and every XG TBE
+    table (an XG probe timeout is held by its TBE and by the queue). Group
+    1 is the networks. Then comes one group per controller, in component
+    order: the controller, the sequencers attached to it (a request
+    message is held by its sequencer and by the cache's TBE), main memory
+    for the directory/L2, and every other fixed object the controller's
+    wiring reaches first — its port buffers, cache array, TBE table and
+    stats, and for XG its error log, rate limiter and permission table.
+    Whatever no component or network reaches joins the core.
+    """
+    objects = fixed_objects(system)
+    sim = system.sim
+    core, networks, controllers = [], [], {}
+    group = {id(sim): core, id(sim.events): core}
+    group.update((id(net), networks) for net in sim.networks)
+    group.update((id(xg.tbes), core) for xg in system.xgs)
+    for comp in sim.components:
+        head = comp.cache if isinstance(comp, Sequencer) and comp.cache is not None else comp
+        group[id(comp)] = controllers.setdefault(id(head), [])
+    if system.directory is not None:
+        group[id(system.memory)] = controllers[id(system.directory)]
+    for owner in [*sim.components, *sim.networks, sim]:
+        for item in _wired(owner):
+            group.setdefault(id(item), group[id(owner)])
+    for obj in objects:
+        group.get(id(obj), core).append(obj)
+    return [core, networks, *controllers.values()]
 
 
 # -- in-place refills --------------------------------------------------------
 
 
-def _refill_list(live, saved):
-    live[:] = saved
+_CONTAINERS = (list, dict, defaultdict, set, deque)
 
 
-def _refill_dict(live, saved):
-    live.clear()
-    live.update(saved)
+def _refiller(live):
+    """A function that refills container ``live`` in place from a saved copy.
 
+    Bound once per plan: under the in-place rule a container attribute of
+    a fixed object is never rebound, so ``live`` stays the one to refill.
+    """
+    if type(live) is list:
+        if live and all(type(item) is dict for item in live):
+            # a list of dicts (a cache array's sets): refill each dict
+            targets = tuple(live)
 
-def _refill_deque(live, saved):
-    live.clear()
-    live.extend(saved)
+            def refill(saved):
+                for target, entries in zip(targets, saved):
+                    if target or entries:
+                        target.clear()
+                        target.update(entries)
+            return refill
 
+        def refill(saved):
+            if live or saved:
+                live[:] = saved
+        return refill
+    clear = live.clear
+    fill = live.extend if type(live) is deque else live.update
 
-def _refill_nested(live, saved):
-    # a list of dicts (a cache array's sets): refill each dict
-    for target, entries in zip(live, saved):
-        target.clear()
-        target.update(entries)
-
-
-_REFILLS = {
-    list: _refill_list,
-    dict: _refill_dict,
-    defaultdict: _refill_dict,
-    set: _refill_dict,
-    deque: _refill_deque,
-}
+    def refill(saved):
+        if live or saved:
+            clear()
+            fill(saved)
+    return refill
 
 
 def _accessors(obj, names):
@@ -286,23 +352,19 @@ def _accessors(obj, names):
         value = getattr(obj, name)
         if isinstance(value, random.Random):
             rngs.append(name)
-        elif type(value) in _REFILLS:
-            refill = _REFILLS[type(value)]
-            if value and type(value) is list and all(
-                    type(item) is dict for item in value):
-                refill = _refill_nested
-            containers.append((name, refill))
+        elif type(value) in _CONTAINERS:
+            containers.append((name, value))
         else:
             scalars.append(name)
-    ordered = scalars + [name for name, _refill in containers]
+    ordered = scalars + [name for name, _value in containers]
     if len(ordered) == 1:
         def get(target, name=ordered[0]):  # attrgetter of one name returns no tuple
             return (getattr(target, name),)
     else:
         get = attrgetter(*ordered)
     scalars = tuple(scalars)
-    refills = tuple((len(scalars) + index, name, refill)
-                    for index, (name, refill) in enumerate(containers))
+    refills = tuple((index, _refiller(value))
+                    for index, (_name, value) in enumerate(containers, len(scalars)))
     update = obj.__dict__.update if hasattr(obj, "__dict__") else None
 
     def put(values):
@@ -311,8 +373,8 @@ def _accessors(obj, names):
         else:
             for name, value in zip(scalars, values):
                 setattr(obj, name, value)
-        for index, name, refill in refills:
-            refill(getattr(obj, name), values[index])
+        for index, refill in refills:
+            refill(values[index])
 
     return get, put, tuple(rngs)
 
@@ -359,7 +421,8 @@ class SystemCheckpointer:
             raise CheckpointError(
                 "telemetry, lineage and run-loop monitors keep their own "
                 "state; checkpoint a system without them")
-        objects = fixed_objects(system)
+        groups = partition(system)
+        objects = [obj for group in groups for obj in group]
         problems = []
         for obj in objects:
             problems.extend(unclassified(obj))
@@ -368,15 +431,22 @@ class SystemCheckpointer:
         if problems:
             raise CheckpointError(
                 "state a checkpoint would not carry: " + ", ".join(problems))
+        group_of = {}
         self.getters = []
         self.putters = []
         self.rng_slots = []
-        for obj in objects:
-            get, put, rngs = _accessors(
-                obj, [name for name in _plan(type(obj))[0] if hasattr(obj, name)])
-            self.getters.append((get, obj))
-            self.putters.append(put)
-            self.rng_slots.extend((obj, name) for name in rngs)
+        for index, group in enumerate(groups):
+            getters, putters = [], []
+            for obj in group:
+                get, put, rngs = _accessors(
+                    obj, [name for name in _plan(type(obj))[0] if hasattr(obj, name)])
+                getters.append((get, obj))
+                putters.append(put)
+                self.rng_slots.extend((obj, name) for name in rngs)
+                group_of[id(obj)] = index
+            self.getters.append(getters)
+            self.putters.append(putters)
+        self.rng_groups = frozenset(group_of[id(obj)] for obj, _name in self.rng_slots)
         seeds = list(objects)
         seeds.extend(obj._wakeup_cb for obj in objects
                      if isinstance(obj, Component))
@@ -408,31 +478,64 @@ class SystemCheckpointer:
         self.load_memo = seeder.memo
         self.last_rngs = None
 
-    def checkpoint(self, extras=()):
-        state = [get(obj) for get, obj in self.getters]
-        state.append(extras)
+    def dump(self, index):
+        """The pickle of group ``index`` as the live objects hold it now."""
         buf = io.BytesIO()
         pickler = _Pickler(buf, self.fixed_ids)
         pickler.memo = self.dump_memo
-        pickler.dump(state)
+        pickler.dump([get(obj) for get, obj in self.getters[index]])
+        return buf.getvalue()
+
+    def checkpoint(self, base=None, changed=()):
+        """Capture the live state.
+
+        Against ``base``, the checkpoint the live objects last matched,
+        only the groups in ``changed`` are pickled again; every other
+        group shares ``base``'s bytes.
+        """
+        if base is None:
+            groups = [self.dump(index) for index in range(len(self.getters))]
+        else:
+            groups = list(base.groups)
+            for index in changed:
+                data = self.dump(index)
+                # equal bytes: share the base's, so a later restore sees them alike
+                groups[index] = base.groups[index] if data == base.groups[index] else data
         rngs = tuple(getattr(obj, name).getstate() for obj, name in self.rng_slots)
         if rngs == self.last_rngs:
             rngs = self.last_rngs  # unchanged: share one copy
         else:
             self.last_rngs = rngs
-        return Checkpoint(self, buf.getvalue(), rngs, tuple(extras))
+        return Checkpoint(self, tuple(groups), rngs)
 
-    def restore(self, checkpoint):
+    def restore(self, checkpoint, base=None, changed=()):
+        """Write ``checkpoint`` back into the live objects.
+
+        Against ``base``, the checkpoint the live objects last matched, a
+        group is written only when its bytes are not ``base``'s or it is
+        in ``changed``; RNG states only when they differ from ``base``'s or
+        a group holding an RNG is in ``changed``.
+        """
         if checkpoint.owner is not self:
             raise CheckpointError("checkpoint was taken from another system")
-        # a buffered reader lets the unpickler take the whole pickle in
-        # one peek; a bare BytesIO costs a read call per opcode
-        unpickler = pickle.Unpickler(io.BufferedReader(io.BytesIO(checkpoint.data)))
-        unpickler.memo = self.load_memo
-        state = unpickler.load()
-        for put, values in zip(self.putters, state):
-            put(values)
-        for live, saved in zip(checkpoint.extras, state[-1]):
-            _REFILLS[type(live)](live, saved)
-        for (obj, name), rng_state in zip(self.rng_slots, checkpoint.rngs):
-            getattr(obj, name).setstate(rng_state)
+        groups = checkpoint.groups
+        if base is None:
+            needed = range(len(groups))
+        else:
+            needed = [index for index, (data, live) in enumerate(zip(groups, base.groups))
+                      if data is not live or index in changed]
+        if needed:
+            # one unpickler reads every needed group in turn, so the seeded
+            # memo is copied once; a buffered reader lets it take each
+            # pickle in one peek, where a bare BytesIO costs a read per opcode
+            unpickler = pickle.Unpickler(io.BufferedReader(io.BytesIO(
+                b"".join([groups[index] for index in needed]))))
+            unpickler.memo = self.load_memo
+            putters = self.putters
+            for index in needed:
+                for put, values in zip(putters[index], unpickler.load()):
+                    put(values)
+        if (base is None or checkpoint.rngs is not base.rngs
+                or not self.rng_groups.isdisjoint(changed)):
+            for (obj, name), rng_state in zip(self.rng_slots, checkpoint.rngs):
+                getattr(obj, name).setstate(rng_state)

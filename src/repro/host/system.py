@@ -83,20 +83,23 @@ class System:
         out.append(self.directory)
         return out
 
-    def checkpoint(self, *extras):
-        """Capture the system's physical state for a later :meth:`restore`.
-
-        ``extras`` are caller-owned containers that live on the same
-        timeline (the explorer's parked messages): captured with the
-        system and refilled in place on restore. See
-        :mod:`repro.host.checkpoint` for what a checkpoint carries.
-        """
+    @property
+    def checkpointer(self):
+        """The :class:`~repro.host.checkpoint.SystemCheckpointer` behind
+        :meth:`checkpoint`, planned on first use."""
         if self._checkpointer is None:
             # imported on first use: building and running never need it
             from repro.host.checkpoint import SystemCheckpointer
 
             self._checkpointer = SystemCheckpointer(self)
-        return self._checkpointer.checkpoint(extras)
+        return self._checkpointer
+
+    def checkpoint(self):
+        """Capture the system's physical state for a later :meth:`restore`.
+
+        See :mod:`repro.host.checkpoint` for what a checkpoint carries.
+        """
+        return self.checkpointer.checkpoint()
 
     def restore(self, checkpoint):
         """Write ``checkpoint`` back into this system's live objects.

@@ -36,14 +36,16 @@ visited-set digests for any worker count — and makes every
 counterexample a replayable trace on the live simulator by construction
 (:func:`replay_path`). Expansion never rebuilds a system: each process
 expands its states on one live :class:`ExplorerHarness`, restoring the
-parent's checkpoint (:meth:`repro.host.system.System.checkpoint`) before
-each child's action. The serial BFS keeps the checkpoint of every newly
-discovered state until that state is expanded, up to
-:data:`CHECKPOINT_BUDGET`; a state without one (a sharded level, or past
-the budget) replays its path once from the harness's root checkpoint.
-Sleep sets skip the second ordering of two actions on different
-controllers (:func:`action_agent`), which reaches a state already
-reached, without changing what the exploration finds.
+parent's checkpoint (:mod:`repro.host.checkpoint`) before each child's
+action. An action changes one controller's group and the core, so
+checkpoints, restores and digests redo only those groups. The serial BFS
+keeps the checkpoint of every newly discovered state until that state is
+expanded, up to :data:`CHECKPOINT_BUDGET`; a state without one (a
+sharded level, or past the budget) replays its path once from the
+harness's root checkpoint. Sleep sets skip the second ordering of two
+actions on different controllers (:func:`action_agent`), which reaches a
+state already reached, without changing what the exploration finds; a
+state whose every action sleeps is not entered at all.
 """
 
 import hashlib
@@ -54,6 +56,7 @@ from repro.coherence.controller import ProtocolError
 from repro.coherence.snapshot import (
     ReprMultiset, canonical_text, dict_text, rename, snap_message)
 from repro.eval.campaign import CampaignJob, run_campaign, shard_evenly
+from repro.host.checkpoint import CORE, partition
 from repro.host.config import AccelOrg, HostProtocol, SystemConfig
 from repro.host.system import build_system
 from repro.sim.idenum import name_of
@@ -172,7 +175,10 @@ def cell_config(host="mesi", variant="full_state", addresses=1, n_cpus=2):
 
 
 class _ParkedMessage:
-    __slots__ = ("net", "port", "msg", "lane")
+    """One parked send. Never changed once parked: a delivery hands the
+    destination a clone, so checkpoints share these by reference."""
+
+    __slots__ = ("net", "port", "msg", "lane", "_snap")
 
     def __init__(self, net, port, msg):
         self.net = net
@@ -181,10 +187,36 @@ class _ParkedMessage:
         # FIFO lane the real network would clamp (Network.send orders
         # per (sender, dest) when ordered=True)
         self.lane = (net.name, msg.sender, msg.dest)
+        self._snap = None
+
+    def snap(self):
+        """The message's logical snapshot, taken once: it never changes."""
+        if self._snap is None:
+            self._snap = snap_message(self.msg)
+        return self._snap
+
+
+class HarnessCheckpoint:
+    """A harness state: the system's checkpoint, the parked messages it
+    shares by reference, and each group's rendered snapshot texts (None
+    until rendered)."""
+
+    __slots__ = ("system", "parked", "texts")
+
+    def __init__(self, system, parked, texts):
+        self.system = system
+        self.parked = parked
+        self.texts = texts
 
 
 class ExplorerHarness:
-    """One live simulator instance with explorer control installed."""
+    """One live simulator instance with explorer control installed.
+
+    The live system changes only through :meth:`apply`, which records the
+    group (:func:`repro.host.checkpoint.partition`) of the component it
+    touched: checkpoints, restores and digests then redo only the groups
+    changed since the checkpoint the live objects last matched.
+    """
 
     def __init__(self, cell, channel_bound=DEFAULT_CHANNEL_BOUND):
         self.cell = dict(cell)
@@ -198,10 +230,27 @@ class ExplorerHarness:
             self._install_park(net)
         self._symmetry_maps = self._build_symmetry_maps()
         self._texts = {}
+        groups = partition(self.system)
+        self._group_of = {id(obj): index
+                          for index, group in enumerate(groups) for obj in group}
+        #: per group: its components with a snapshot hook, and whether it
+        #: holds main memory
+        self._snapshot_groups = [
+            ([obj for obj in group if hasattr(obj, "snapshot_state")],
+             self.system.memory in group)
+            for group in groups]
+        self._group_texts = [None] * len(groups)
+        # the components whose actions can change the XG-link projection
+        self._projected = {id(comp) for comp in self.system.xgs} | {
+            id(cache) for _xg, caches, _l2 in self.system.xg_groups for cache in caches}
         self.frame = 0
         self._settle()
         self._root = None
         self._left_root = False
+        self._live = None  # the checkpoint the live objects last matched
+        self._changed = set()  # groups an action changed since
+        #: the component the last :meth:`apply` delivered or issued to
+        self.touched = None
         self.restores = 0
         self.replays = 0
 
@@ -236,16 +285,38 @@ class ExplorerHarness:
 
     def checkpoint(self):
         """The live state, parked messages included."""
-        return self.system.checkpoint(self.parked)
+        checkpointer = self.system.checkpointer
+        if self._live is None:
+            system = checkpointer.checkpoint()
+        else:
+            system = checkpointer.checkpoint(self._live.system, self._changed)
+        self._live = HarnessCheckpoint(system, tuple(self.parked),
+                                       list(self._group_texts))
+        self._changed.clear()
+        return self._live
 
     def restore(self, checkpoint):
         """Return to a state captured by :meth:`checkpoint`."""
-        self.system.restore(checkpoint)
+        self._enter(checkpoint)
         self.restores += 1
+
+    def _enter(self, checkpoint):
+        # write back only the groups changed since the live checkpoint, or
+        # whose bytes differ from it
+        live = self._live
+        if live is None:
+            self.system.checkpointer.restore(checkpoint.system)
+        else:
+            self.system.checkpointer.restore(checkpoint.system, live.system,
+                                             self._changed)
+        self.parked[:] = checkpoint.parked
+        self._group_texts = list(checkpoint.texts)
+        self._live = checkpoint
+        self._changed.clear()
 
     def replay(self, path):
         """Enter the state at the end of ``path`` from the root checkpoint."""
-        self.system.restore(self.root)
+        self._enter(self.root)
         self.replays += 1
         for action in path:
             self.apply(action)
@@ -300,11 +371,15 @@ class ExplorerHarness:
             seq = self.system.sequencers[index]
             return ("issue", seq.cache.name, seq.name, op, addr)
         parked = self.parked[action[1]]
-        msg = parked.msg
-        return ("deliver", msg.dest, parked.net.name, parked.port, snap_message(msg))
+        return ("deliver", parked.msg.dest, parked.net.name, parked.port, parked.snap())
 
     def apply(self, action):
-        """Execute one choice, then settle. Raises on a stale replay."""
+        """Execute one choice, then settle. Raises on a stale replay.
+
+        Marks the group of the component the action touches, the
+        delivery's destination or the cache behind the issuing sequencer,
+        and the core group, as changed: only those change while it runs.
+        """
         self._left_root = True
         action = tuple(action)
         kind = action[0]
@@ -313,12 +388,13 @@ class ExplorerHarness:
             seq = self.system.sequencers[seq_index]
             if seq.outstanding:
                 raise ExplorationError(f"replay divergence: {seq.name} busy")
+            if op not in ("load", "store"):
+                raise ExplorationError(f"unknown op {op!r}")
+            self._touch(seq.cache)
             if op == "load":
                 seq.load(addr)
-            elif op == "store":
-                seq.store(addr, STORE_VALUE)
             else:
-                raise ExplorationError(f"unknown op {op!r}")
+                seq.store(addr, STORE_VALUE)
         elif kind == "deliver":
             index = action[1]
             if index >= len(self.parked):
@@ -331,10 +407,19 @@ class ExplorerHarness:
                     f"{msg.sender}->{msg.dest}, trace says "
                     f"{action[2]}->{action[3]}")
             dest = parked.net._endpoints[msg.dest]
-            dest.deliver(parked.port, self.sim.tick + 1, msg)
+            self._touch(dest)
+            # a clone: checkpoints share the parked original
+            dest.deliver(parked.port, self.sim.tick + 1, msg.clone())
         else:
             raise ExplorationError(f"unknown action kind {kind!r}")
         self._settle()
+
+    def _touch(self, component):
+        self.touched = component
+        group = self._group_of[id(component)]
+        self._changed.add(group)
+        self._changed.add(CORE)
+        self._group_texts[group] = self._group_texts[CORE] = None
 
     # -- state predicates -----------------------------------------------------
 
@@ -459,25 +544,33 @@ class ExplorerHarness:
                 state = hook()
                 if state:
                     components[comp.name] = state
+        lanes, bag = self._parked_snapshot()
+        return {
+            "components": components,
+            "memory": self._memory_snapshot(),
+            "lanes": lanes,
+            "bag": bag,
+        }
+
+    def _memory_snapshot(self):
+        return {
+            addr: bytes(self.system.memory.peek(addr).to_bytes())
+            for addr in self.addresses
+        }
+
+    def _parked_snapshot(self):
         ordered_lanes = {}
         unordered = []
         for parked in self.parked:
-            desc = (parked.net.name, parked.port, snap_message(parked.msg))
+            desc = (parked.net.name, parked.port, parked.snap())
             if parked.net.ordered:
                 ordered_lanes.setdefault(parked.lane, []).append(desc)
             else:
                 unordered.append(desc)
-        return {
-            "components": components,
-            "memory": {
-                addr: bytes(self.system.memory.peek(addr).to_bytes())
-                for addr in self.addresses
-            },
-            # FIFO lanes keep their order; the unordered channel is a
-            # multiset, sorted again under every renaming
-            "lanes": {lane: tuple(msgs) for lane, msgs in ordered_lanes.items()},
-            "bag": ReprMultiset.of(unordered),
-        }
+        # FIFO lanes keep their order; the unordered channel is a
+        # multiset, sorted again under every renaming
+        lanes = {lane: tuple(msgs) for lane, msgs in ordered_lanes.items()}
+        return lanes, ReprMultiset.of(unordered)
 
     def canonical(self):
         """Canonical state text: min over core and address renamings."""
@@ -494,13 +587,24 @@ class ExplorerHarness:
 
         The text is ``canonical_text(self.snapshot(), *map)`` minimised
         over the maps, assembled from the rendered items of the top-level
-        dict and of its ``components`` dict, each rendered once per map
-        and reused while its logical snapshot stays the same.
+        dict and of its ``components`` dict, each rendered once per map.
+        A group's items are kept until an action changes the group, and
+        travel with its checkpoints; the parked channels, which every
+        action changes, are rendered each time.
         """
-        snap = self.snapshot()
-        components = [self._item_texts(name, state)
-                      for name, state in snap.pop("components").items()]
-        rest = [self._item_texts(key, value) for key, value in snap.items()]
+        components, rest = [], []
+        texts = self._group_texts
+        live = self._live
+        for index, group_texts in enumerate(texts):
+            if group_texts is None:
+                group_texts = texts[index] = self._render_group(index)
+                if live is not None and index not in self._changed:
+                    live.texts[index] = group_texts  # unchanged since: the same
+            components.extend(group_texts[0])
+            rest.extend(group_texts[1])
+        lanes, bag = self._parked_snapshot()
+        rest.append(self._item_texts("lanes", lanes))
+        rest.append(self._item_texts("bag", bag))
         best = frame = None
         for index in range(len(self._symmetry_maps)):
             inner = dict_text([texts[index] for texts in components])
@@ -510,12 +614,24 @@ class ExplorerHarness:
                 best, frame = text, index
         return best, frame
 
+    def _render_group(self, index):
+        """``(component items, top-level items)`` of group ``index``, each
+        item rendered under every symmetry map."""
+        components, memory = self._snapshot_groups[index]
+        items = []
+        for comp in components:
+            state = comp.snapshot_state()
+            if state:
+                items.append(self._item_texts(comp.name, state))
+        top = [self._item_texts("memory", self._memory_snapshot())] if memory else []
+        return items, top
+
     def _item_texts(self, key, value):
         """The dict item ``(key, value)`` rendered under every symmetry map.
 
         Cached by the value's ``repr``: snapshots are plain data, so equal
-        reprs mean equal snapshots, and a component an action left alone
-        is looked up rather than rendered again.
+        reprs mean equal snapshots, and a part that an action changed back
+        to an earlier value is looked up rather than rendered again.
         """
         token = (key, repr(value))
         texts = self._texts.get(token)
@@ -588,21 +704,28 @@ def _expand_paths(cell, entries, check=None, channel_bound=DEFAULT_CHANNEL_BOUND
     ]
 
 
-def _expand_one(harness, path, check, checkpoint=None, keep=None,
+def _expand_one(harness, path, check, checkpoint=None, admit=None,
                 sleep=frozenset()):
     """Expand the state at the end of ``path`` on the live ``harness``.
 
     The state is entered by restoring its ``checkpoint`` or, without one,
     by replaying ``path`` once; every executed child after the first
-    restores it again before its own action. ``keep(digest)`` says whether
-    a child's checkpoint should come back in the record, for its own
-    expansion.
+    restores it again before its own action. ``admit(digest)`` is None for
+    a child already known, and otherwise says whether the child's
+    checkpoint should come back in the record, for its own expansion;
+    without ``admit`` every child counts as new.
 
     ``sleep`` holds the keys (:meth:`ExplorerHarness.action_key`, in this
     state's own frame) of actions another ordering already covers: each
     is counted in ``slept`` and never executed. A child's sleep set is
     every key in ``sleep`` or executed before it whose agent differs from
-    its action's, renamed into the frame of the child's canonical text.
+    its action's, renamed into the frame of the child's canonical text. A
+    new child also records its own action keys, so that a state whose
+    every action sleeps need not be entered at all (:func:`_all_slept`).
+
+    Coverage is harvested from every controller at the root, and from a
+    child only for the controller its action touched: no other controller
+    fires during it.
     """
     restores, replays = harness.restores, harness.replays
     if checkpoint is None:
@@ -619,7 +742,8 @@ def _expand_one(harness, path, check, checkpoint=None, keep=None,
         "covered": {},
         "projections": set(),
     }
-    _harvest(record, harness)
+    if not path:
+        _harvest(record, harness, harness.system.controllers())
 
     def fail(reason, extra_action=None):
         # flags the state the harness holds now
@@ -670,29 +794,53 @@ def _expand_one(harness, path, check, checkpoint=None, keep=None,
         if problems:
             fail(problems[0], extra_action=action)
             break
-        _harvest(record, harness)
+        touched = harness.touched
+        _harvest(record, harness, [touched], id(touched) in harness._projected)
         digest = harness.digest()
         agent = action_agent(key)
+        quiescent = harness.is_quiescent()
         child = {
             "action": list(action), "digest": digest,
-            "quiescent": harness.is_quiescent(), "frame": harness.frame,
+            "quiescent": quiescent, "frame": harness.frame,
             "sleep": _renamed([other for other in sleep
                                if action_agent(other) != agent],
                               *harness._symmetry_maps[harness.frame]),
         }
-        if keep is not None and keep(digest):
-            child["checkpoint"] = harness.checkpoint()
+        keep = False if admit is None else admit(digest)
+        if keep is not None:
+            child["keys"] = _action_keys(harness, quiescent)
+            if keep:
+                child["checkpoint"] = harness.checkpoint()
         record["children"].append(child)
         sleep.add(key)
     return done()
 
 
-def _harvest(record, harness):
-    """Add the raw (state, event) keys every controller has fired so far."""
+def _action_keys(harness, quiescent):
+    """The keys of every action enabled in the live state, or None when it
+    is a deadlock, which only entering the state reports."""
+    actions = harness.enabled_actions()
+    if not quiescent and not any(action[0] == "deliver" for action in actions):
+        return None
+    return tuple(harness.action_key(action) for action in actions)
+
+
+def _all_slept(keys, sleep):
+    """Whether a state with action ``keys`` (None: unknown) executes
+    nothing under ``sleep``. Such a state is not entered: it is counted in
+    ``transitions`` and ``slept``, and its checks already ran when it was
+    found as a child."""
+    return keys is not None and all(key in sleep for key in keys)
+
+
+def _harvest(record, harness, controllers, project=True):
+    """Add the raw (state, event) keys ``controllers`` have fired so far
+    and, when ``project``, the XG-link projections."""
     covered = record["covered"]
-    for comp in harness.system.controllers():
+    for comp in controllers:
         covered.setdefault(comp.CONTROLLER_TYPE, set()).update(comp.coverage)
-    record["projections"].update(harness.link_projection())
+    if project:
+        record["projections"].update(harness.link_projection())
 
 
 def _finish(record):
@@ -725,15 +873,18 @@ def explore_cell(host="mesi", variant="full_state", addresses=1, n_cpus=2,
     via :func:`replay_path`). ``restores``, ``replays`` and
     ``checkpoints_peak`` say how expansion reached its states: checkpoint
     restores, path replays from the root checkpoint, and the most
-    checkpoints the frontier held at once.
+    checkpoints the frontier held at once. Every executed transition
+    costs one of a restore or a replay, so ``restores + replays`` equals
+    ``transitions − slept`` on a run without a counterexample.
 
     Sleep sets skip transitions that a second ordering of two independent
     actions (:func:`action_agent`) already covers. A state's sleep set is
     the intersection over its incoming edges from the previous level, in
     the frame of its canonical text; ``slept`` counts the transitions
-    skipped, which are in ``transitions`` but never executed. The edge
-    that first discovers a state is never slept, so every other key of
-    the result is the unreduced exploration's.
+    skipped, which are in ``transitions`` but never executed. A state
+    whose every action sleeps is not entered. The edge that first
+    discovers a state is never slept, so every other key of the result is
+    the unreduced exploration's.
 
     ``workers > 1`` shards each BFS level over the campaign executor;
     results merge in submission order, so the visited-set digest is
@@ -747,20 +898,21 @@ def explore_cell(host="mesi", variant="full_state", addresses=1, n_cpus=2,
     quiescent = {root_digest} if harness.is_quiescent() else set()
     relation = harness.transition_relation()
     maps = harness._symmetry_maps
-    # states awaiting expansion: (path, checkpoint or None, digest, frame)
-    frontier = [((), harness.root, root_digest, harness.frame)]
+    # states awaiting expansion: (path, checkpoint or None, digest, frame,
+    # action keys or None)
+    frontier = [((), harness.root, root_digest, harness.frame, None)]
     # canonical-frame sleep sets of the states in ``frontier``
     sleeps = {root_digest: frozenset()}
     held = peak = 1  # checkpoints the frontier holds
     pending = set()  # new digests of the record being expanded
 
-    def keep(digest):
-        # mirrors the merge below: a child that will join the frontier
-        # keeps its checkpoint while the budget allows
+    def admit(digest):
+        # mirrors the merge below: None for a child that will not join the
+        # frontier; one that will keeps its checkpoint while the budget allows
         nonlocal held, peak
         if (digest in visited or digest in pending
                 or len(visited) + len(pending) >= max_states):
-            return False
+            return None
         pending.add(digest)
         if held >= CHECKPOINT_BUDGET:
             return False
@@ -775,14 +927,28 @@ def explore_cell(host="mesi", variant="full_state", addresses=1, n_cpus=2,
                         {to: name for name, to in name_map.items()},
                         {to: addr for addr, to in addr_map.items()})
 
-    def expand_serially(level):
+    def expand(level):
+        # serially in order, or shipping every state that executes
+        # something to the shards; a state whose actions all sleep is
+        # counted without being entered
         nonlocal held
-        for index, (path, checkpoint, digest, frame) in enumerate(level):
+        shipped = []
+        for index, (path, checkpoint, digest, frame, keys) in enumerate(level):
             level[index] = None  # expanded: release its checkpoint
             if checkpoint is not None:
                 held -= 1
-            yield _expand_one(harness, path, check, checkpoint, keep,
-                              own_sleep(digest, frame))
+            sleep = own_sleep(digest, frame)
+            if _all_slept(keys, sleep):
+                yield {"restores": 0, "replays": 0, "covered": {},
+                       "projections": [], "violation": None, "children": [],
+                       "slept": len(keys)}
+            elif workers > 1:
+                shipped.append((path, sleep))
+            else:
+                yield _expand_one(harness, path, check, checkpoint, admit, sleep)
+        if shipped:
+            yield from _expand_frontier(cell, shipped, workers, check,
+                                        channel_bound)
 
     reachable = {}
     projections = set()
@@ -791,16 +957,9 @@ def explore_cell(host="mesi", variant="full_state", addresses=1, n_cpus=2,
     truncated = False
     depth = 0
     while frontier and counterexample is None:
-        if workers > 1:
-            records = _expand_frontier(
-                cell, [(path, own_sleep(digest, frame))
-                       for path, _checkpoint, digest, frame in frontier],
-                workers, check, channel_bound)
-        else:
-            records = expand_serially(frontier)
         next_frontier = []
         next_sleeps = {}
-        for record in records:
+        for record in expand(frontier):
             restores += record["restores"]
             replays += record["replays"]
             for ctype, pairs in record["covered"].items():
@@ -828,7 +987,8 @@ def explore_cell(host="mesi", variant="full_state", addresses=1, n_cpus=2,
                 next_frontier.append((
                     tuple(tuple(a) for a in record["path"])
                     + (tuple(child["action"]),),
-                    child.get("checkpoint"), digest, child["frame"]))
+                    child.get("checkpoint"), digest, child["frame"],
+                    child["keys"]))
             pending.clear()
         depth += 1
         if progress is not None:
@@ -857,7 +1017,7 @@ def explore_cell(host="mesi", variant="full_state", addresses=1, n_cpus=2,
 
 def _expand_frontier(cell, entries, workers, check, channel_bound):
     entries = [([list(a) for a in path], sleep) for path, sleep in entries]
-    if len(entries) <= 1:
+    if len(entries) == 1:
         return _expand_paths(cell, entries, check, channel_bound)
     shards = shard_evenly(entries, workers * 4)
     jobs = [

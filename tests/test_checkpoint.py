@@ -5,12 +5,15 @@ the state a replay from reset reaches, down to the physical history a
 snapshot erases (ticks, LRU clocks, the event queue).
 """
 
+import io
+import pickle
 import random
 
 import pytest
 
 from repro.coherence.tbe import TBETable
-from repro.host.checkpoint import CheckpointError, fixed_objects, unclassified
+from repro.host.checkpoint import (
+    PROTOCOL, CheckpointError, fixed_objects, partition, unclassified)
 from repro.host.config import AccelOrg, HostProtocol, SystemConfig
 from repro.host.system import build_system
 from repro.memory.cache_array import CacheArray
@@ -133,7 +136,78 @@ def test_checkpoint_is_compact():
     rng = random.Random(5)
     for _ in range(20):
         harness.apply(rng.choice(harness.enabled_actions()))
-    assert len(harness.checkpoint().data) < 8192
+    assert sum(map(len, harness.checkpoint().system.groups)) < 8192
+
+
+#: Types whose instances a pickle may copy twice without changing meaning.
+IMMUTABLE = (str, bytes, tuple, frozenset, int, float, bool, type(None))
+
+
+def _copied(checkpointer, index):
+    """``{id: object}`` of every mutable object group ``index``'s pickle
+    copies, kept alive by the returned dict."""
+    pickler = pickle.Pickler(io.BytesIO(), PROTOCOL)
+    pickler.memo = checkpointer.dump_memo
+    seeded = len(checkpointer.dump_memo.copy())
+    state = [get(obj) for get, obj in checkpointer.getters[index]]
+    pickler.dump(state)
+    return {key: obj for key, (slot, obj) in pickler.memo.copy().items()
+            if slot >= seeded and not isinstance(obj, IMMUTABLE)}
+
+
+def _census(harness):
+    """Fail if a copied object is reachable from two groups, or from a
+    group and the parked messages that checkpoints share by reference."""
+    checkpointer = harness.system.checkpointer
+    owner = {}
+    for parked in harness.parked:
+        owner[id(parked.msg)] = owner[id(parked.msg.data)] = "parked"
+    copies = [_copied(checkpointer, index) for index in range(len(checkpointer.getters))]
+    for index, copied in enumerate(copies):
+        for key, obj in copied.items():
+            other = owner.setdefault(key, index)
+            assert other == index, f"{obj!r} is in group {index} and in {other}"
+
+
+@pytest.mark.parametrize("variant", sorted(VARIANTS))
+@pytest.mark.parametrize("host", sorted(HOSTS))
+def test_no_copied_object_is_shared_between_groups(host, variant):
+    """Seeded walks with checkpoint and restore jumps on every 1-2 CPU x
+    1-2 address cell: each copied object belongs to one group, so a
+    group's pickle can be taken and written back on its own."""
+    for n_cpus in (1, 2):
+        for addresses in (1, 2):
+            cell = {"host": host, "variant": variant,
+                    "addresses": addresses, "n_cpus": n_cpus}
+            for walk in range(3):
+                rng = random.Random(f"census/{host}/{variant}/{n_cpus}/{addresses}/{walk}")
+                harness = ExplorerHarness(cell)
+                saved = [harness.root]
+                for _ in range(40):
+                    _census(harness)
+                    roll = rng.random()
+                    if roll < 0.2:
+                        saved.append(harness.checkpoint())
+                    elif roll < 0.35:
+                        harness.restore(rng.choice(saved))
+                    else:
+                        harness.apply(rng.choice(harness.enabled_actions()))
+
+
+def test_groups_follow_the_aliases():
+    """The two aliases a system holds stay inside one group each: a
+    sequencer with its cache, and every XG TBE table with the queue."""
+    harness = ExplorerHarness({"host": "mesi", "variant": "full_state",
+                               "addresses": 1, "n_cpus": 2})
+    system = harness.system
+    group_of = {id(obj): index for index, group in enumerate(partition(system))
+                for obj in group}
+    for seq in system.sequencers:
+        assert group_of[id(seq)] == group_of[id(seq.cache)]
+    for xg in system.xgs:
+        assert group_of[id(xg.tbes)] == group_of[id(system.sim.events)] == 0
+        assert group_of[id(xg.error_log)] == group_of[id(xg)] != 0
+    assert group_of[id(system.memory)] == group_of[id(system.directory)]
 
 
 def test_checkpoint_from_another_system_is_refused():

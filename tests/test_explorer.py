@@ -5,9 +5,13 @@ marked ``explore_full`` and only run with ``--explore-full`` (CI's
 explore-smoke job and local deep verification).
 """
 
+import io
 import json
+import pickle
 import random
+from collections import deque
 from itertools import permutations
+from types import MethodType
 
 import pytest
 
@@ -257,7 +261,53 @@ def _reference_canonical(harness):
     return min(texts)
 
 
+def _plain(value, seeded):
+    """A decoded checkpoint value as comparable plain data: what the memo
+    seeds (fixed objects, enum members, classes) by identity, copied
+    objects by their attributes, sets as sets."""
+    if id(value) in seeded:
+        return ("seeded", id(value))
+    if isinstance(value, (set, frozenset)):
+        return ("set", frozenset(_plain(item, seeded) for item in value))
+    if isinstance(value, dict):
+        return ("dict", type(value), tuple((_plain(key, seeded), _plain(item, seeded))
+                                           for key, item in value.items()))
+    if isinstance(value, (list, tuple, deque)):
+        return (type(value), tuple(_plain(item, seeded) for item in value))
+    if isinstance(value, MethodType):
+        return ("method", id(value.__self__), value.__func__)
+    names = [name for klass in type(value).__mro__
+             for name in getattr(klass, "__slots__", ()) if hasattr(value, name)]
+    names.extend(getattr(value, "__dict__", ()))
+    if not names:
+        return value
+    return (type(value), tuple((name, _plain(getattr(value, name), seeded))
+                               for name in names))
+
+
+def _decoded(checkpointer, data):
+    unpickler = pickle.Unpickler(io.BytesIO(data))
+    unpickler.memo = checkpointer.load_memo
+    return _plain(unpickler.load(), set(checkpointer.dump_memo.copy()))
+
+
+def _assert_unmarked_groups_unchanged(harness):
+    """Every group no action marked since the live checkpoint still
+    pickles to that checkpoint's bytes: exactly, or up to the iteration
+    order of a set, which refilling a set in place can change."""
+    checkpointer = harness.system.checkpointer
+    live = harness._live.system
+    for index, data in enumerate(live.groups):
+        if index not in harness._changed:
+            now = checkpointer.dump(index)
+            assert now == data or (_decoded(checkpointer, now)
+                                   == _decoded(checkpointer, data)), (
+                f"group {index} changed unmarked")
+
+
 def _check_canonical_against_reference(host, variant, walks, steps):
+    """Seeded walks that also checkpoint and jump back to earlier
+    checkpoints, so most restores write back only some groups."""
     for n_cpus in (1, 2):
         for addresses in (1, 2):
             cell = {"host": host, "variant": variant,
@@ -265,16 +315,25 @@ def _check_canonical_against_reference(host, variant, walks, steps):
             for walk in range(walks):
                 rng = random.Random(f"{host}/{variant}/{n_cpus}/{addresses}/{walk}")
                 harness = ExplorerHarness(cell)
+                saved = [harness.root]
                 for step in range(steps):
                     assert harness.canonical() == _reference_canonical(harness), (
                         cell, walk, step)
+                    roll = rng.random()
+                    if roll < 0.2:
+                        saved.append(harness.checkpoint())
+                    elif roll < 0.35:
+                        harness.restore(rng.choice(saved))
+                        continue
                     harness.apply(rng.choice(harness.enabled_actions()))
+                    _assert_unmarked_groups_unchanged(harness)
 
 
 @pytest.mark.parametrize("variant", sorted(VARIANTS))
 @pytest.mark.parametrize("host", sorted(HOSTS))
 def test_canonical_matches_reference_oracle(host, variant):
-    """Seeded random walks, 1-2 CPUs x 1-2 addresses: byte-identical text."""
+    """Seeded random walks with checkpoint and restore jumps, 1-2 CPUs x
+    1-2 addresses: byte-identical text, and no group changes unmarked."""
     _check_canonical_against_reference(host, variant, walks=3, steps=40)
 
 
@@ -619,37 +678,15 @@ def test_canonical_matches_reference_oracle_deep(host, variant):
 # -- checkpoint/restore cost model ----------------------------------------------
 
 
-def _spy_records(monkeypatch, name):
-    """Collect every expansion record ``explorer.<name>`` hands the BFS."""
-    records = []
-    real = getattr(explorer, name)
-
-    def spy(*args, **kwargs):
-        out = real(*args, **kwargs)
-        records.extend([out] if name == "_expand_one" else out)
-        return out
-
-    monkeypatch.setattr(explorer, name, spy)
-    return records
-
-
-def _all_slept(records):
-    """States entered although every one of their actions was slept."""
-    return sum(1 for record in records
-               if not record["children"] and record["violation"] is None)
-
-
 @pytest.mark.parametrize("host,variant", sorted(ONE_CPU_PROOFS))
-def test_serial_bfs_restores_instead_of_replaying(host, variant, monkeypatch):
+def test_serial_bfs_restores_instead_of_replaying(host, variant):
     """Entering a state restores its checkpoint, and so does every
     executed child after the first: no path replays, and one restore per
-    executed transition plus one per state whose actions all slept."""
-    records = _spy_records(monkeypatch, "_expand_one")
+    executed transition. A state whose every action sleeps is not entered."""
     result = explore_cell(host=host, variant=variant, addresses=1, n_cpus=1,
                           max_states=300)
     assert result["replays"] == 0
-    assert result["restores"] == (result["transitions"] - result["slept"]
-                                  + _all_slept(records))
+    assert result["restores"] == result["transitions"] - result["slept"]
     assert 1 <= result["checkpoints_peak"] <= CHECKPOINT_BUDGET
 
 
@@ -673,14 +710,14 @@ def test_over_budget_states_replay_to_the_same_result(monkeypatch):
         assert tight[key] == full[key]
 
 
-def test_sharded_levels_replay_each_path_once(monkeypatch):
+def test_sharded_levels_replay_each_path_once():
     """A sharded state is entered by one replay; every executed child
-    after the first restores it."""
-    records = _spy_records(monkeypatch, "_expand_frontier")
+    after the first restores it. The parent ships no state whose every
+    action sleeps."""
     result = explore_cell(**CELL, max_states=80, workers=2)
     assert result["replays"] > 0
     assert result["restores"] + result["replays"] == (
-        result["transitions"] - result["slept"] + _all_slept(records))
+        result["transitions"] - result["slept"])
 
 
 # -- sleep sets -------------------------------------------------------------------
