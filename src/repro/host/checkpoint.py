@@ -266,22 +266,19 @@ def fixed_objects(system):
     return found
 
 
-#: Index of the core group in :func:`partition`.
-CORE = 0
-
-
 def partition(system):
     """The fixed objects of ``system`` in groups, each in discovery order.
 
-    Group :data:`CORE` is the simulator, the event queue and every XG TBE
-    table (an XG probe timeout is held by its TBE and by the queue). Group
-    1 is the networks. Then comes one group per controller, in component
-    order: the controller, the sequencers attached to it (a request
-    message is held by its sequencer and by the cache's TBE), main memory
-    for the directory/L2, and every other fixed object the controller's
-    wiring reaches first — its port buffers, cache array, TBE table and
-    stats, and for XG its error log, rate limiter and permission table.
-    Whatever no component or network reaches joins the core.
+    The first group, the core, is the simulator, the event queue and every
+    XG TBE table (an XG probe timeout is held by its TBE and by the
+    queue). The second is the networks. Then comes one group per
+    controller, in component order: the controller, the sequencers
+    attached to it (a request message is held by its sequencer and by the
+    cache's TBE), main memory for the directory/L2, and every other fixed
+    object the controller's wiring reaches first — its port buffers, cache
+    array, TBE table and stats, and for XG its error log, rate limiter and
+    permission table. Whatever no component or network reaches joins the
+    core.
     """
     objects = fixed_objects(system)
     sim = system.sim

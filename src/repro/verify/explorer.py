@@ -56,7 +56,6 @@ from repro.coherence.controller import ProtocolError
 from repro.coherence.snapshot import (
     ReprMultiset, canonical_text, dict_text, rename, snap_message)
 from repro.eval.campaign import CampaignJob, run_campaign, shard_evenly
-from repro.host.checkpoint import CORE, partition
 from repro.host.config import AccelOrg, HostProtocol, SystemConfig
 from repro.host.system import build_system
 from repro.sim.idenum import name_of
@@ -230,9 +229,14 @@ class ExplorerHarness:
             self._install_park(net)
         self._symmetry_maps = self._build_symmetry_maps()
         self._texts = {}
+        # imported on first use, as System.checkpoint does: building and
+        # running a system never need it
+        from repro.host.checkpoint import partition
+
         groups = partition(self.system)
         self._group_of = {id(obj): index
                           for index, group in enumerate(groups) for obj in group}
+        self._core = self._group_of[id(self.sim)]
         #: per group: its components with a snapshot hook, and whether it
         #: holds main memory
         self._snapshot_groups = [
@@ -418,8 +422,8 @@ class ExplorerHarness:
         self.touched = component
         group = self._group_of[id(component)]
         self._changed.add(group)
-        self._changed.add(CORE)
-        self._group_texts[group] = self._group_texts[CORE] = None
+        self._changed.add(self._core)
+        self._group_texts[group] = self._group_texts[self._core] = None
 
     # -- state predicates -----------------------------------------------------
 
