@@ -506,14 +506,12 @@ def _cmd_explore(args):
     import json
     import time
 
-    from repro.eval.campaign import resolve_workers
     from repro.verify.explorer import (
         cross_check_coverage, explore_cell, run_cell_stress)
 
     hosts = ["mesi", "hammer", "mesif"] if args.host == "all" else [args.host]
     variants = (["full_state", "transactional"] if args.variant == "all"
                 else [args.variant])
-    workers = resolve_workers(args.workers) if args.workers else 1
     cells = []
     rows = []
     exit_code = 0
@@ -527,7 +525,7 @@ def _cmd_explore(args):
                     f"frontier {frontier}", file=sys.stderr, flush=True)
             result = explore_cell(
                 host=host, variant=variant, addresses=args.addresses,
-                workers=workers, max_states=args.max_states,
+                max_states=args.max_states,
                 check=args.check, progress=progress,
             )
             elapsed = time.perf_counter() - start
@@ -573,12 +571,11 @@ def _cmd_explore(args):
         ["cell", "states", "transitions", "slept", "restores", "replays",
          "checkpoints", "quiescent", "depth", "G0-G2", "cross-check", "time"],
         rows,
-        title=f"reachability exploration ({args.addresses} address(es), "
-              f"{workers} worker(s))",
+        title=f"reachability exploration ({args.addresses} address(es))",
     ))
     if args.out:
-        payload = {"addresses": args.addresses, "workers": workers,
-                   "max_states": args.max_states, "cells": cells}
+        payload = {"addresses": args.addresses, "max_states": args.max_states,
+                   "cells": cells}
         with open(args.out, "w") as fh:
             json.dump(payload, fh, indent=2, sort_keys=True)
             fh.write("\n")
@@ -887,10 +884,6 @@ def build_parser():
     explore.add_argument("--addresses", type=int, default=1, choices=[1, 2],
                          help="explored block addresses (2 adds replacement "
                               "interleavings; much larger space)")
-    explore.add_argument("--workers", type=int, default=None,
-                         help="shard each BFS level over N campaign "
-                              "processes (default: serial; digests are "
-                              "byte-identical either way)")
     explore.add_argument("--max-states", dest="max_states", type=int,
                          default=100_000,
                          help="truncate the search after N canonical states "

@@ -86,29 +86,6 @@ def resolve_workers(workers):
     return max(1, int(workers))
 
 
-def shard_evenly(items, shards):
-    """Split ``items`` into at most ``shards`` contiguous near-equal slices.
-
-    Order is preserved across the concatenation of the returned slices,
-    so a sharded consumer that merges results in submission order sees
-    exactly the serial sequence — the property the explorer's
-    byte-identical visited-set digests rest on. Empty slices are never
-    returned.
-    """
-    items = list(items)
-    if not items:
-        return []
-    shards = max(1, min(int(shards), len(items)))
-    base, extra = divmod(len(items), shards)
-    out = []
-    start = 0
-    for index in range(shards):
-        size = base + (1 if index < extra else 0)
-        out.append(items[start:start + size])
-        start += size
-    return out
-
-
 def _execute(indexed_job):
     """Run one job with full error capture. Must never raise."""
     index, job = indexed_job

@@ -14,9 +14,8 @@ at two levels of abstraction:
   simulator** on small concrete cells (2 host cores × 1 accelerator ×
   1-2 addresses, every host × XG-variant combination): all message
   interleavings enumerated, states canonically hashed under core/address
-  symmetry, G0-G2 plus quiescent invariants checked at every state, the
-  BFS frontier sharded over the campaign executor, and counterexamples
-  emitted as replayable traces.
+  symmetry, G0-G2 plus quiescent invariants checked at every state, and
+  counterexamples emitted as replayable traces.
 
 Both prove, for every reachable interleaving: no unspecified receptions,
 every request answered exactly once, races resolve, quiescent states

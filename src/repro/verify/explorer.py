@@ -3,7 +3,7 @@
 Where :mod:`repro.verify.model` proves the XG<->accelerator *interface*
 correct on an abstract single-address automaton, this module enumerates
 the state space of the **real** simulator: actual controllers, compiled
-dispatch tables, TBEs, the XG mirror, pooled messages — everything.
+dispatch tables, TBEs, the XG mirror, in-flight messages — everything.
 
 The trick is turning a discrete-event simulator into a guarded-action
 transition system:
@@ -29,23 +29,20 @@ transition system:
   deliverable message (deadlock freedom), and parked channels are
   bounded.
 
-A frontier node is the choice path from the reset state. That makes
-frontier slices picklable — the BFS fans out over the campaign executor
-(:func:`repro.eval.campaign.run_campaign`) with byte-identical
-visited-set digests for any worker count — and makes every
-counterexample a replayable trace on the live simulator by construction
-(:func:`replay_path`). Expansion never rebuilds a system: each process
-expands its states on one live :class:`ExplorerHarness`, restoring the
+A frontier node is the choice path from the reset state, which makes
+every counterexample a replayable trace on the live simulator by
+construction (:func:`replay_path`). Expansion never rebuilds a system:
+one live :class:`ExplorerHarness` expands every state, restoring the
 parent's checkpoint (:mod:`repro.host.checkpoint`) before each child's
 action. An action changes one controller's group and the core, so
-checkpoints, restores and digests redo only those groups. The serial BFS
-keeps the checkpoint of every newly discovered state until that state is
-expanded, up to :data:`CHECKPOINT_BUDGET`; a state without one (a
-sharded level, or past the budget) replays its path once from the
-harness's root checkpoint. Sleep sets skip the second ordering of two
-actions on different controllers (:func:`action_agent`), which reaches a
-state already reached, without changing what the exploration finds; a
-state whose every action sleeps is not entered at all.
+checkpoints, restores and digests redo only those groups. The BFS keeps
+the checkpoint of every newly discovered state until that state is
+expanded, up to :data:`CHECKPOINT_BUDGET`; a state found past the budget
+replays its path once from the harness's root checkpoint. Sleep sets
+skip the second ordering of two actions on different controllers
+(:func:`action_agent`), which reaches a state already reached, without
+changing what the exploration finds; a state whose every action sleeps
+is not entered at all.
 """
 
 import hashlib
@@ -55,7 +52,6 @@ from itertools import permutations
 from repro.coherence.controller import ProtocolError
 from repro.coherence.snapshot import (
     ReprMultiset, canonical_text, dict_text, rename, snap_message)
-from repro.eval.campaign import CampaignJob, run_campaign, shard_evenly
 from repro.host.config import AccelOrg, HostProtocol, SystemConfig
 from repro.host.system import build_system
 from repro.sim.idenum import name_of
@@ -89,7 +85,7 @@ EXPLORER_ACCEL_TIMEOUT = 1 << 30
 #: ``_CHANNEL_BOUND``.
 DEFAULT_CHANNEL_BOUND = 32
 
-#: Checkpoints the serial BFS holds at once for discovered states awaiting
+#: Checkpoints the BFS holds at once for discovered states awaiting
 #: expansion (a few kilobytes each). A state found past it carries only
 #: its path and replays that once from the root checkpoint when expanded.
 CHECKPOINT_BUDGET = 4096
@@ -111,11 +107,11 @@ VARIANTS = {
 
 
 class ExplorationError(RuntimeError):
-    """The explorer itself failed (bad replay, settle runaway, shard crash)."""
+    """The explorer itself failed (bad replay, settle runaway, unknown check)."""
 
 
-#: Registry of named per-state checks: ``name -> fn(harness) -> str | None``.
-#: Names (not callables) cross process boundaries with frontier shards.
+#: Registry of named per-state checks: ``name -> fn(harness) -> str | None``,
+#: selected by name (``explore_cell(check=...)``, ``repro explore --check``).
 CHECKS = {}
 
 
@@ -675,15 +671,12 @@ def _sha(text):
 
 
 def state_set_digest(visited):
-    """Order-independent digest of a visited-state set.
-
-    Serial and sharded explorations of the same cell must produce the
-    same digest — the acceptance property for parallel frontiers.
-    """
+    """Order-independent digest of a visited-state set: it names the
+    states a cell reaches, whatever order the BFS found them in."""
     return _sha("\n".join(sorted(visited)))
 
 
-# -- frontier expansion (runs in campaign workers) ----------------------------
+# -- frontier expansion -------------------------------------------------------
 
 
 def replay_path(cell, path, channel_bound=DEFAULT_CHANNEL_BOUND):
@@ -694,96 +687,56 @@ def replay_path(cell, path, channel_bound=DEFAULT_CHANNEL_BOUND):
     return harness
 
 
-def _expand_paths(cell, entries, check=None, channel_bound=DEFAULT_CHANNEL_BOUND):
-    """Campaign shard runner: expand each frontier ``(path, sleep)`` entry.
-
-    One harness serves the whole shard; each path replays once from its
-    root checkpoint. Returns plain picklable records; the parent BFS
-    merges them in submission order, so sharding never changes the result.
-    """
-    harness = ExplorerHarness(cell, channel_bound=channel_bound)
-    return [
-        _expand_one(harness, tuple(tuple(a) for a in path), check, sleep=sleep)
-        for path, sleep in entries
-    ]
-
-
-def _expand_one(harness, path, check, checkpoint=None, admit=None,
-                sleep=frozenset()):
+def _expand_one(harness, path, checkpoint, sleep, check, admit, covered,
+                projections):
     """Expand the state at the end of ``path`` on the live ``harness``.
 
     The state is entered by restoring its ``checkpoint`` or, without one,
     by replaying ``path`` once; every executed child after the first
     restores it again before its own action. ``admit(digest)`` is None for
-    a child already known, and otherwise says whether the child's
-    checkpoint should come back in the record, for its own expansion;
-    without ``admit`` every child counts as new.
+    a child already known, and otherwise says whether to checkpoint the
+    child, for its own expansion.
 
     ``sleep`` holds the keys (:meth:`ExplorerHarness.action_key`, in this
     state's own frame) of actions another ordering already covers: each
-    is counted in ``slept`` and never executed. A child's sleep set is
-    every key in ``sleep`` or executed before it whose agent differs from
-    its action's, renamed into the frame of the child's canonical text. A
-    new child also records its own action keys, so that a state whose
-    every action sleeps need not be entered at all (:func:`_all_slept`).
+    is counted as slept and never executed. A child's sleep set is every
+    key in ``sleep`` or executed before it whose agent differs from its
+    action's, renamed into the frame of the child's canonical text. A new
+    child also records its own action keys, so that a state whose every
+    action sleeps need not be entered at all (:func:`_all_slept`).
 
-    Coverage is harvested from every controller at the root, and from a
-    child only for the controller its action touched: no other controller
-    fires during it.
+    Coverage is harvested into ``covered`` and ``projections``
+    (:func:`_harvest`) from every controller at the root, and from a child
+    only for the controller its action touched: no other controller fires
+    during it.
+
+    Returns ``(children, slept, counterexample)``: one dict per executed
+    child, the number of slept actions, and the counterexample of the
+    first check that failed, or None.
     """
-    restores, replays = harness.restores, harness.replays
     if checkpoint is None:
         harness.replay(path)
         checkpoint = harness.checkpoint()
     else:
         harness.restore(checkpoint)
-    record = {
-        "path": [list(a) for a in path],
-        "quiescent": harness.is_quiescent(),
-        "children": [],
-        "slept": 0,
-        "violation": None,
-        "covered": {},
-        "projections": set(),
-    }
     if not path:
-        _harvest(record, harness, harness.system.controllers())
-
-    def fail(reason, extra_action=None):
-        # flags the state the harness holds now
-        trace = [list(a) for a in path]
-        if extra_action is not None:
-            trace.append(list(extra_action))
-        text = harness.canonical()
-        record["violation"] = {
-            "cell": dict(harness.cell),
-            "path": trace,
-            "reason": reason,
-            "check": check,
-            "canonical": text,
-            "digest": _sha(text),
-        }
-
-    def done():
-        record["restores"] = harness.restores - restores
-        record["replays"] = harness.replays - replays
-        return _finish(record)
-
+        _harvest(covered, projections, harness, harness.system.controllers())
+    children, slept = [], 0
     problems = harness.state_problems(check)
     if problems:
-        fail(problems[0])
-        return done()
+        return children, slept, _counterexample(harness, path, problems[0], check)
     actions = harness.enabled_actions()
-    if not record["quiescent"] and not any(a[0] == "deliver" for a in actions):
-        fail("deadlock: non-quiescent state with no deliverable message")
-        return done()
+    if not harness.is_quiescent() and not any(a[0] == "deliver" for a in actions):
+        return children, slept, _counterexample(
+            harness, path, "deadlock: non-quiescent state with no deliverable message",
+            check)
     # named while the harness holds this state: a child moves the parked list
     keys = [harness.action_key(action) for action in actions]
     sleep = set(sleep)  # and every sibling executed so far
     at_parent = True
     for action, key in zip(actions, keys):
         if key in sleep:
-            record["slept"] += 1
+            slept += 1
             continue
         if not at_parent:
             harness.restore(checkpoint)
@@ -792,32 +745,48 @@ def _expand_one(harness, path, check, checkpoint=None, admit=None,
             harness.apply(action)
         except (ProtocolError, InvariantError, DeadlockError) as exc:
             harness.restore(checkpoint)  # report the unmodified parent
-            fail(f"{type(exc).__name__}: {exc}", extra_action=action)
-            break
+            return children, slept, _counterexample(
+                harness, path + (action,), f"{type(exc).__name__}: {exc}", check)
         problems = harness.state_problems(check)
         if problems:
-            fail(problems[0], extra_action=action)
-            break
+            return children, slept, _counterexample(
+                harness, path + (action,), problems[0], check)
         touched = harness.touched
-        _harvest(record, harness, [touched], id(touched) in harness._projected)
+        _harvest(covered, projections, harness, [touched],
+                 id(touched) in harness._projected)
         digest = harness.digest()
         agent = action_agent(key)
         quiescent = harness.is_quiescent()
         child = {
-            "action": list(action), "digest": digest,
+            "action": action, "digest": digest,
             "quiescent": quiescent, "frame": harness.frame,
             "sleep": _renamed([other for other in sleep
                                if action_agent(other) != agent],
                               *harness._symmetry_maps[harness.frame]),
+            "keys": None, "checkpoint": None,
         }
-        keep = False if admit is None else admit(digest)
+        keep = admit(digest)
         if keep is not None:
             child["keys"] = _action_keys(harness, quiescent)
             if keep:
                 child["checkpoint"] = harness.checkpoint()
-        record["children"].append(child)
+        children.append(child)
         sleep.add(key)
-    return done()
+    return children, slept, None
+
+
+def _counterexample(harness, path, reason, check):
+    """A replayable record of the state the harness holds, reached by
+    ``path``, failing with ``reason``."""
+    text = harness.canonical()
+    return {
+        "cell": dict(harness.cell),
+        "path": [list(action) for action in path],
+        "reason": reason,
+        "check": check,
+        "canonical": text,
+        "digest": _sha(text),
+    }
 
 
 def _action_keys(harness, quiescent):
@@ -837,35 +806,21 @@ def _all_slept(keys, sleep):
     return keys is not None and all(key in sleep for key in keys)
 
 
-def _harvest(record, harness, controllers, project=True):
-    """Add the raw (state, event) keys ``controllers`` have fired so far
-    and, when ``project``, the XG-link projections."""
-    covered = record["covered"]
+def _harvest(covered, projections, harness, controllers, project=True):
+    """Add the raw (state, event) keys ``controllers`` have fired so far to
+    ``covered``, per controller type, and, when ``project``, the XG-link
+    projections to ``projections``."""
     for comp in controllers:
         covered.setdefault(comp.CONTROLLER_TYPE, set()).update(comp.coverage)
     if project:
-        record["projections"].update(harness.link_projection())
-
-
-def _finish(record):
-    # name the raw keys once per record, as ``covered_transitions`` does;
-    # plain sorted lists: records cross process boundaries
-    record["covered"] = {
-        ctype: sorted({
-            (name_of(state), name_of(event))
-            for state, event in keys
-        })
-        for ctype, keys in record["covered"].items()
-    }
-    record["projections"] = sorted(record["projections"])
-    return record
+        projections.update(harness.link_projection())
 
 
 # -- the BFS driver -----------------------------------------------------------
 
 
 def explore_cell(host="mesi", variant="full_state", addresses=1, n_cpus=2,
-                 workers=1, max_states=100_000, check=None,
+                 max_states=100_000, check=None,
                  channel_bound=DEFAULT_CHANNEL_BOUND, progress=None):
     """Breadth-first reachability exploration of one (host × variant) cell.
 
@@ -876,10 +831,11 @@ def explore_cell(host="mesi", variant="full_state", addresses=1, n_cpus=2,
     ``counterexample`` (its ``path`` re-executes on the live simulator
     via :func:`replay_path`). ``restores``, ``replays`` and
     ``checkpoints_peak`` say how expansion reached its states: checkpoint
-    restores, path replays from the root checkpoint, and the most
-    checkpoints the frontier held at once. Every executed transition
-    costs one of a restore or a replay, so ``restores + replays`` equals
-    ``transitions − slept`` on a run without a counterexample.
+    restores, path replays from the root checkpoint (of states found past
+    :data:`CHECKPOINT_BUDGET`), and the most checkpoints the frontier held
+    at once. Every executed transition costs one of a restore or a
+    replay, so ``restores + replays`` equals ``transitions − slept`` on a
+    run without a counterexample.
 
     Sleep sets skip transitions that a second ordering of two independent
     actions (:func:`action_agent`) already covers. A state's sleep set is
@@ -889,10 +845,6 @@ def explore_cell(host="mesi", variant="full_state", addresses=1, n_cpus=2,
     whose every action sleeps is not entered. The edge that first
     discovers a state is never slept, so every other key of the result is
     the unreduced exploration's.
-
-    ``workers > 1`` shards each BFS level over the campaign executor;
-    results merge in submission order, so the visited-set digest is
-    byte-identical to the serial run.
     """
     cell = {"host": host, "variant": variant,
             "addresses": addresses, "n_cpus": n_cpus}
@@ -908,7 +860,7 @@ def explore_cell(host="mesi", variant="full_state", addresses=1, n_cpus=2,
     # canonical-frame sleep sets of the states in ``frontier``
     sleeps = {root_digest: frozenset()}
     held = peak = 1  # checkpoints the frontier holds
-    pending = set()  # new digests of the record being expanded
+    pending = set()  # new digests of the state being expanded
 
     def admit(digest):
         # mirrors the merge below: None for a child that will not join the
@@ -931,51 +883,32 @@ def explore_cell(host="mesi", variant="full_state", addresses=1, n_cpus=2,
                         {to: name for name, to in name_map.items()},
                         {to: addr for addr, to in addr_map.items()})
 
-    def expand(level):
-        # serially in order, or shipping every state that executes
-        # something to the shards; a state whose actions all sleep is
-        # counted without being entered
-        nonlocal held
-        shipped = []
-        for index, (path, checkpoint, digest, frame, keys) in enumerate(level):
-            level[index] = None  # expanded: release its checkpoint
-            if checkpoint is not None:
-                held -= 1
-            sleep = own_sleep(digest, frame)
-            if _all_slept(keys, sleep):
-                yield {"restores": 0, "replays": 0, "covered": {},
-                       "projections": [], "violation": None, "children": [],
-                       "slept": len(keys)}
-            elif workers > 1:
-                shipped.append((path, sleep))
-            else:
-                yield _expand_one(harness, path, check, checkpoint, admit, sleep)
-        if shipped:
-            yield from _expand_frontier(cell, shipped, workers, check,
-                                        channel_bound)
-
-    reachable = {}
+    covered = {}  # controller type -> raw (state, event) keys fired
     projections = set()
-    transitions = slept = restores = replays = 0
+    transitions = slept = 0
     counterexample = None
     truncated = False
     depth = 0
     while frontier and counterexample is None:
         next_frontier = []
         next_sleeps = {}
-        for record in expand(frontier):
-            restores += record["restores"]
-            replays += record["replays"]
-            for ctype, pairs in record["covered"].items():
-                reachable.setdefault(ctype, set()).update(
-                    tuple(pair) for pair in pairs)
-            projections.update(tuple(pair) for pair in record["projections"])
-            if record["violation"] is not None:
-                counterexample = record["violation"]
+        for index, (path, checkpoint, digest, frame, keys) in enumerate(frontier):
+            frontier[index] = None  # expanded: release its checkpoint
+            if checkpoint is not None:
+                held -= 1
+            sleep = own_sleep(digest, frame)
+            if _all_slept(keys, sleep):
+                transitions += len(keys)
+                slept += len(keys)
+                continue
+            children, skipped, counterexample = _expand_one(
+                harness, path, checkpoint, sleep, check, admit, covered,
+                projections)
+            if counterexample is not None:
                 break
-            transitions += len(record["children"]) + record["slept"]
-            slept += record["slept"]
-            for child in record["children"]:
+            transitions += len(children) + skipped
+            slept += skipped
+            for child in children:
                 digest = child["digest"]
                 if digest in visited:
                     if digest in next_sleeps:  # another edge from this level
@@ -988,11 +921,8 @@ def explore_cell(host="mesi", variant="full_state", addresses=1, n_cpus=2,
                 if child["quiescent"]:
                     quiescent.add(digest)
                 next_sleeps[digest] = child["sleep"]
-                next_frontier.append((
-                    tuple(tuple(a) for a in record["path"])
-                    + (tuple(child["action"]),),
-                    child.get("checkpoint"), digest, child["frame"],
-                    child["keys"]))
+                next_frontier.append((path + (child["action"],), child["checkpoint"],
+                                      digest, child["frame"], child["keys"]))
             pending.clear()
         depth += 1
         if progress is not None:
@@ -1005,11 +935,13 @@ def explore_cell(host="mesi", variant="full_state", addresses=1, n_cpus=2,
         "slept": slept,
         "quiescent_states": len(quiescent),
         "depth": depth,
-        "restores": restores,
-        "replays": replays,
+        "restores": harness.restores,
+        "replays": harness.replays,
         "checkpoints_peak": peak,
         "digest": state_set_digest(visited),
-        "reachable": {ctype: sorted(pairs) for ctype, pairs in reachable.items()},
+        "reachable": {
+            ctype: sorted({(name_of(state), name_of(event)) for state, event in keys})
+            for ctype, keys in covered.items()},
         "relation": {ctype: sorted(pairs) for ctype, pairs in relation.items()},
         "projections": sorted(projections),
         "counterexample": counterexample,
@@ -1017,29 +949,6 @@ def explore_cell(host="mesi", variant="full_state", addresses=1, n_cpus=2,
         "complete": counterexample is None and not truncated,
         "ok": counterexample is None,
     }
-
-
-def _expand_frontier(cell, entries, workers, check, channel_bound):
-    entries = [([list(a) for a in path], sleep) for path, sleep in entries]
-    if len(entries) == 1:
-        return _expand_paths(cell, entries, check, channel_bound)
-    shards = shard_evenly(entries, workers * 4)
-    jobs = [
-        CampaignJob(
-            runner=_expand_paths,
-            args=(cell, shard, check, channel_bound),
-            label=f"explore[{cell['host']}/{cell['variant']}] shard {index}",
-        )
-        for index, shard in enumerate(shards)
-    ]
-    records = []
-    for outcome in run_campaign(jobs, workers=workers):
-        if not outcome.ok:
-            raise ExplorationError(
-                f"frontier shard failed: {outcome.error_type}: "
-                f"{outcome.error}\n{outcome.traceback}")
-        records.extend(outcome.value)
-    return records
 
 
 # -- coverage cross-check -----------------------------------------------------

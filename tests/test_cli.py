@@ -107,6 +107,29 @@ def test_fuzz_live_frames_single_run(capsys):
     assert "fabric: jobs 1/1" in out
 
 
+def test_explore_command(tmp_path, capsys):
+    report = tmp_path / "explore_report.json"
+    assert main(["explore", "--max-states", "40", "-o", str(report)]) == 0
+    payload = json.loads(report.read_text())
+    assert set(payload) == {"addresses", "max_states", "cells"}
+    [cell] = payload["cells"]
+    assert cell["truncated"] and cell["states"] == 40
+    capsys.readouterr()
+
+    failing = tmp_path / "counterexample.json"
+    assert main(["explore", "--max-states", "5000", "--check",
+                 "demo_accel_never_owns", "-o", str(failing)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    path = json.loads(failing.read_text())["cells"][0]["counterexample"]["path"]
+    assert path
+    assert err[0].startswith("counterexample in mesi/full_state: ")
+    assert err[1:] == [f"    {step}" for step in path]
+
+    with pytest.raises(SystemExit) as exc:
+        main(["explore", "--workers", "2"])
+    assert exc.value.code == 2
+
+
 def test_parser_requires_command():
     with pytest.raises(SystemExit):
         build_parser().parse_args([])

@@ -17,7 +17,6 @@ import pytest
 
 from repro.coherence.coverage import CoverageReport
 from repro.coherence.snapshot import Multiset, canonical_text, rename
-from repro.eval.campaign import shard_evenly
 from repro.host.config import HostProtocol
 from repro.host.system import build_system
 from repro.obs.matrix import CellSummary, render_missing
@@ -351,15 +350,6 @@ def test_capped_bfs_finds_no_violations():
     assert result["counterexample"] is None
 
 
-def test_serial_and_sharded_digests_identical():
-    serial = explore_cell(**CELL, max_states=80)
-    sharded = explore_cell(**CELL, max_states=80, workers=2)
-    assert serial["digest"] == sharded["digest"]
-    assert serial["states"] == sharded["states"]
-    assert serial["transitions"] == sharded["transitions"]
-    assert serial["reachable"] == sharded["reachable"]
-
-
 #: Capped explorations whose output bytes must never drift: cell ->
 #: (visited-set digest, states, transitions, quiescent states) at
 #: ``max_states=120``. A change to expansion or hashing that alters a
@@ -561,18 +551,6 @@ def test_render_missing_reports_unreachable_excluded():
     assert "1 proven unreachable excluded" in text
 
 
-# -- shard helper -------------------------------------------------------------
-
-
-def test_shard_evenly():
-    assert shard_evenly([], 4) == []
-    assert shard_evenly([1, 2, 3], 1) == [[1, 2, 3]]
-    shards = shard_evenly(list(range(10)), 3)
-    assert [len(s) for s in shards] == [4, 3, 3]
-    assert [x for shard in shards for x in shard] == list(range(10))
-    assert shard_evenly([1, 2], 5) == [[1], [2]]
-
-
 # -- exhaustive proofs (explore-full only) ------------------------------------
 
 
@@ -584,14 +562,6 @@ def test_full_mesi_full_state_cell_proved():
     assert result["ok"]
     assert result["quiescent_states"] >= 2
     assert result["states"] > 10_000
-
-
-@pytest.mark.explore_full
-def test_full_cell_sharded_digest_matches_serial():
-    serial = explore_cell(**CELL, max_states=100_000)
-    sharded = explore_cell(**CELL, max_states=100_000, workers=4)
-    assert serial["complete"] and sharded["complete"]
-    assert serial["digest"] == sharded["digest"]
 
 
 @pytest.mark.explore_full
@@ -699,25 +669,19 @@ def test_one_cpu_proof_without_replays():
 
 def test_over_budget_states_replay_to_the_same_result(monkeypatch):
     """Past the checkpoint budget a state replays its path from the root
-    checkpoint; the explored set does not change."""
+    checkpoint; the explored set does not change. A replayed state is
+    entered by its one replay, and every executed child after the first
+    restores it."""
     full = explore_cell(**CELL, max_states=120)
     monkeypatch.setattr(explorer, "CHECKPOINT_BUDGET", 3)
     tight = explore_cell(**CELL, max_states=120)
     assert tight["replays"] > 0
     assert tight["checkpoints_peak"] <= 3
+    assert tight["restores"] + tight["replays"] == (
+        tight["transitions"] - tight["slept"])
     for key in ("digest", "states", "transitions", "quiescent_states",
                 "reachable", "projections"):
         assert tight[key] == full[key]
-
-
-def test_sharded_levels_replay_each_path_once():
-    """A sharded state is entered by one replay; every executed child
-    after the first restores it. The parent ships no state whose every
-    action sleeps."""
-    result = explore_cell(**CELL, max_states=80, workers=2)
-    assert result["replays"] > 0
-    assert result["restores"] + result["replays"] == (
-        result["transitions"] - result["slept"])
 
 
 # -- sleep sets -------------------------------------------------------------------
@@ -763,15 +727,6 @@ def test_sleep_sets_match_unreduced_one_cpu_proofs(host, variant, monkeypatch):
     assert reduced["slept"] > 0
     assert reduced["restores"] < reduced["transitions"]
     _assert_same_exploration(reduced, _unreduced(monkeypatch, **kwargs))
-
-
-def test_sleep_sets_sharded_equals_serial():
-    kwargs = dict(host="hammer", variant="full_state", n_cpus=2, max_states=150)
-    serial = explore_cell(**kwargs)
-    sharded = explore_cell(**kwargs, workers=2)
-    assert serial["slept"] > 0
-    for key in set(serial) - {"restores", "replays", "checkpoints_peak"}:
-        assert sharded[key] == serial[key], key
 
 
 def test_counterexample_under_sleep_sets_matches_unreduced(monkeypatch):
