@@ -7,8 +7,11 @@ explore-smoke job and local deep verification).
 
 import io
 import json
+import os
 import pickle
 import random
+import subprocess
+import sys
 from collections import deque
 from itertools import permutations
 from types import MethodType
@@ -84,6 +87,18 @@ def test_hammer_directory_snapshot_extra_owners():
 
 
 # -- harness basics -----------------------------------------------------------
+
+
+def test_explorer_imports_no_campaign_code():
+    """The explorer runs in one process: importing it loads nothing of
+    ``repro.eval``."""
+    src = os.path.dirname(os.path.dirname(os.path.dirname(explorer.__file__)))
+    code = ("import sys, repro.verify.explorer; "
+            "print(sorted(m for m in sys.modules if m.startswith('repro.eval')))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": src}).stdout
+    assert out.strip() == "[]"
 
 
 def test_root_state_is_quiescent_and_clean():
