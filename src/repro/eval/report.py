@@ -99,7 +99,7 @@ def format_fabric_summary(summary):
     percentiles from the merged sketches — the after-the-fact view of
     what ``--live`` showed while the campaign ran.
     """
-    from repro.obs.sketch import LatencySketch
+    from repro.sim.stats import Histogram
 
     lines = [
         "campaign fabric summary",
@@ -131,7 +131,7 @@ def format_fabric_summary(summary):
     if sketches:
         rows = []
         for name in sorted(sketches):
-            sketch = LatencySketch.from_dict(sketches[name])
+            sketch = Histogram.from_dict(sketches[name])
             if not sketch.count:
                 continue
             rows.append([

@@ -9,9 +9,10 @@
 * :mod:`repro.obs.matrix` — per-(protocol, accel-mode) coverage
   heatmaps and span-latency percentiles (:class:`CoverageMatrix`,
   :func:`render_matrix`);
-* :mod:`repro.obs.sketch` — mergeable fixed-bucket metric sketches
-  (:class:`LatencySketch`, :class:`CounterSeries`) whose folds are
-  byte-identical regardless of merge order;
+* :mod:`repro.obs.sketch` — the mergeable per-tick
+  :class:`CounterSeries`, whose folds (like those of the latency
+  :class:`~repro.sim.stats.Histogram`) are byte-identical regardless of
+  merge order;
 * :mod:`repro.obs.lineage` — causal message lineage and per-span
   critical-path blame (:class:`LineageTracker`, :class:`BlameMatrix`):
   every closed span's duration decomposed exactly into wire / queue /
@@ -37,7 +38,7 @@ from repro.obs.lineage import SEGMENTS, BlameMatrix, LineageTracker
 from repro.obs.matrix import CellSummary, CoverageMatrix, render_blame, render_matrix
 from repro.obs.perfetto import build_trace, validate_trace, write_trace
 from repro.obs.recorder import FlightRecorder
-from repro.obs.sketch import CounterSeries, LatencySketch
+from repro.obs.sketch import CounterSeries
 from repro.obs.spans import Span, SpanRecorder, Telemetry, sample_counters
 
 __all__ = [
@@ -48,7 +49,6 @@ __all__ = [
     "FabricCollector",
     "FabricEmitter",
     "FlightRecorder",
-    "LatencySketch",
     "LineageTracker",
     "LiveRenderer",
     "SEGMENTS",

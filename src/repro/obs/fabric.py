@@ -11,7 +11,7 @@ The fabric makes the campaign observable while it runs:
   :class:`FabricEmitter` that **never blocks**: a full queue drops the
   frame and counts the drop;
 * a **collector thread** in the parent (:class:`FabricCollector`) drains
-  frames into mergeable aggregates — :class:`~repro.obs.sketch.LatencySketch`
+  frames into mergeable aggregates — :class:`~repro.sim.stats.Histogram`
   and :class:`~repro.obs.sketch.CounterSeries` fold byte-identically
   regardless of arrival order — plus per-worker liveness state
   (heartbeat age drives straggler/stalled-shard detection);
@@ -37,9 +37,10 @@ import time
 from contextlib import contextmanager
 
 from repro.obs.recorder import FlightRecorder
-from repro.obs.sketch import CounterSeries, LatencySketch
+from repro.obs.sketch import CounterSeries
 from repro.obs.spans import sample_counters
 from repro.sim import simulator as _simulator
+from repro.sim.stats import Histogram
 
 #: Fabric tuning knobs shipped to every worker (plain dict: it crosses
 #: the process boundary through the pool initializer).
@@ -173,7 +174,7 @@ class FabricEmitter:
     def sketch(self, name, bucket_width):
         sketch = self.sketches.get(name)
         if sketch is None:
-            sketch = self.sketches[name] = LatencySketch(bucket_width)
+            sketch = self.sketches[name] = Histogram(bucket_width)
         return sketch
 
     # -- job lifecycle ----------------------------------------------------------
@@ -203,9 +204,7 @@ class FabricEmitter:
             width = self.config["sketch_bucket_width"]
             for kind, hist in sim.obs.spans.latency_histograms(
                     bucket_width=width).items():
-                self.sketch(f"span.{kind}", width).merge(
-                    LatencySketch.from_histogram(hist)
-                )
+                self.sketch(f"span.{kind}", width).merge(hist)
         sample = self._last_sample or {}
         self._emit({
             "kind": "job_finished", "worker": self.worker_id,
@@ -345,7 +344,7 @@ class FabricCollector:
         self.frames_dropped = 0
         self.workers = {}    # wid -> liveness/throughput state
         self.jobs = {}       # index -> {"label", "worker", "status"}
-        self.sketches = {}   # name -> LatencySketch
+        self.sketches = {}   # name -> Histogram
         self.series = CounterSeries(self.config["series_bucket_ticks"])
         self.coverage_visited = 0
 
@@ -464,7 +463,7 @@ class FabricCollector:
                     self.jobs_failed += 1
                 self.coverage_visited += frame.get("coverage_visited", 0)
                 for name, data in frame.get("sketches", {}).items():
-                    contributed = LatencySketch.from_dict(data)
+                    contributed = Histogram.from_dict(data)
                     mine = self.sketches.get(name)
                     if mine is None:
                         self.sketches[name] = contributed

@@ -30,7 +30,7 @@ flushed to ``service``), so ``sum(segments.values())`` equals the span
 duration exactly — the conservation invariant the tests assert.
 
 :class:`BlameMatrix` aggregates segments per (config label x span kind)
-cell on top of :class:`~repro.obs.sketch.LatencySketch`, so campaign
+cell on top of :class:`~repro.sim.stats.Histogram`, so campaign
 workers fold byte-identically through the PR 8 fabric regardless of
 worker count or arrival order.
 
@@ -42,7 +42,7 @@ byte-identical with lineage on and off.
 import json
 from collections import deque
 
-from repro.obs.sketch import LatencySketch
+from repro.sim.stats import Histogram
 
 #: Every bucket a segment tick can land in (the exhaustive attribution
 #: alphabet; see the module docstring for meanings).
@@ -409,7 +409,7 @@ class BlameMatrix:
     """Mergeable campaign-wide blame aggregate.
 
     Cells are keyed ``(config label, span kind)`` and hold an integer
-    span count, a :class:`~repro.obs.sketch.LatencySketch` of durations,
+    span count, a :class:`~repro.sim.stats.Histogram` of durations,
     and integer per-segment tick totals — all order-free to merge, so
     workers=N folds byte-identically to workers=1. The top list keeps
     the ``top_n`` slowest transactions (with their critical paths) under
@@ -434,7 +434,7 @@ class BlameMatrix:
         if cell is None:
             cell = self.cells[key] = {
                 "spans": 0,
-                "duration": LatencySketch(self.bucket_width),
+                "duration": Histogram(self.bucket_width),
                 "segments": {},
             }
         cell["spans"] += 1
@@ -472,7 +472,7 @@ class BlameMatrix:
             if mine is None:
                 mine = self.cells[key] = {
                     "spans": 0,
-                    "duration": LatencySketch(self.bucket_width),
+                    "duration": Histogram(self.bucket_width),
                     "segments": {},
                 }
             mine["spans"] += cell["spans"]
@@ -544,7 +544,7 @@ class BlameMatrix:
             config, _, kind = key.rpartition("|")
             matrix.cells[(config, kind)] = {
                 "spans": cell["spans"],
-                "duration": LatencySketch.from_dict(cell["duration"]),
+                "duration": Histogram.from_dict(cell["duration"]),
                 "segments": dict(cell["segments"]),
             }
         matrix.top = [dict(entry) for entry in data.get("top", [])]

@@ -44,17 +44,18 @@ from repro.obs.fabric import (
     worker_emitter,
 )
 from repro.obs.recorder import FlightRecorder, format_trace_record
-from repro.obs.sketch import CounterSeries, LatencySketch
+from repro.obs.sketch import CounterSeries
 from repro.sim.component import Component
 from repro.sim.message import Message
 from repro.sim.simulator import Simulator, progress_hook, set_progress_hook
+from repro.sim.stats import Histogram
 
 
 # -- sketches -------------------------------------------------------------------
 
 
 def test_latency_sketch_observe_and_stats():
-    sketch = LatencySketch(bucket_width=10)
+    sketch = Histogram(bucket_width=10)
     for value in (5, 15, 25, 95):
         sketch.observe(value)
     assert sketch.count == 4
@@ -71,21 +72,21 @@ def test_latency_sketch_merge_is_order_free_byte_identical():
     samples = [rng.randrange(0, 500) for _ in range(200)]
     parts = []
     for chunk_start in range(0, 200, 50):
-        part = LatencySketch(bucket_width=8)
+        part = Histogram(bucket_width=8)
         for value in samples[chunk_start:chunk_start + 50]:
             part.observe(value)
         parts.append(part)
 
-    forward = LatencySketch(bucket_width=8)
+    forward = Histogram(bucket_width=8)
     for part in parts:
         forward.merge(part)
-    backward = LatencySketch(bucket_width=8)
+    backward = Histogram(bucket_width=8)
     for part in reversed(parts):
         backward.merge(part)
     assert forward.canonical() == backward.canonical()
     assert forward == backward
 
-    whole = LatencySketch(bucket_width=8)
+    whole = Histogram(bucket_width=8)
     for value in samples:
         whole.observe(value)
     assert forward.canonical() == whole.canonical()
@@ -93,31 +94,19 @@ def test_latency_sketch_merge_is_order_free_byte_identical():
 
 def test_latency_sketch_width_mismatch_raises():
     with pytest.raises(ValueError, match="width mismatch"):
-        LatencySketch(bucket_width=8).merge(LatencySketch(bucket_width=4))
+        Histogram(bucket_width=8).merge(Histogram(bucket_width=4))
     with pytest.raises(ValueError):
-        LatencySketch(bucket_width=0)
+        Histogram(bucket_width=0)
 
 
 def test_latency_sketch_dict_roundtrip_through_json():
-    sketch = LatencySketch(bucket_width=5)
+    sketch = Histogram(bucket_width=5)
     for value in (1, 9, 42):
         sketch.observe(value)
     wire = json.loads(json.dumps(sketch.as_dict()))
-    clone = LatencySketch.from_dict(wire)
+    clone = Histogram.from_dict(wire)
     assert clone == sketch
     assert clone.buckets == sketch.buckets  # int keys restored
-
-
-def test_latency_sketch_from_histogram_is_exact():
-    from repro.sim.stats import Histogram
-
-    hist = Histogram(8)
-    for value in (3, 11, 200):
-        hist.observe(value)
-    sketch = LatencySketch.from_histogram(hist)
-    assert sketch.count == hist.count
-    assert sketch.total == hist.total
-    assert sketch.buckets == dict(hist.buckets)
 
 
 def test_counter_series_records_deltas_and_skips_zero():
@@ -243,13 +232,13 @@ def test_emitter_job_finished_frame_carries_sketches_and_series():
     assert done["kind"] == "job_finished" and done["ok"] is True
     assert done["events_fired"] == sim._events_fired
     assert "job_ms" in done["sketches"]
-    assert LatencySketch.from_dict(done["sketches"]["job_ms"]).count == 1
+    assert Histogram.from_dict(done["sketches"]["job_ms"]).count == 1
     series = CounterSeries.from_dict(done["series"])
     assert series.total("events_fired") == sim._events_fired
     # cumulative payloads reset between jobs: contributions stay disjoint
     emitter.job_started(1, "job2")
     emitter.job_finished(1, "job2", ok=True)
-    assert LatencySketch.from_dict(
+    assert Histogram.from_dict(
         frames[-1]["sketches"]["job_ms"]).count == 1
 
 
@@ -292,7 +281,7 @@ def test_collector_aggregates_frames_and_detects_stale_worker():
         "kind": "job_finished", "worker": 1, "job": 0, "label": "a",
         "ok": True, "error_type": "", "seconds": 2.0, "jobs_done": 1,
         "events_fired": 100, "final_tick": 900, "coverage_visited": 7,
-        "sketches": {"job_ms": LatencySketch(50).as_dict()},
+        "sketches": {"job_ms": Histogram(50).as_dict()},
         "series": CounterSeries(5000).as_dict(), "dropped": 3,
     })
     snap = collector.snapshot()
@@ -573,7 +562,7 @@ def _collector_with_traffic():
     collector.jobs_total = 1
     collector.handle({"kind": "job_started", "worker": 3, "job": 0,
                       "label": "a", "dropped": 0})
-    sketch = LatencySketch(50)
+    sketch = Histogram(50)
     sketch.observe(120)
     collector.handle({
         "kind": "job_finished", "worker": 3, "job": 0, "label": "a",

@@ -95,19 +95,6 @@ def test_stats_counters_and_histograms():
     assert hist.count == 2 and hist.mean == 20 and hist.min == 10 and hist.max == 30
 
 
-def test_stats_merge():
-    a = Stats("a")
-    b = Stats("b")
-    a.inc("n", 2)
-    b.inc("n", 3)
-    a.observe("lat", 5)
-    b.observe("lat", 15)
-    a.merge_into(b)
-    assert b.get("n") == 5
-    assert b.histogram("lat").count == 2
-    assert b.histogram("lat").total == 20
-
-
 def test_stats_as_dict():
     stats = Stats()
     stats.inc("k")

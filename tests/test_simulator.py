@@ -127,7 +127,7 @@ def test_component_lookup_and_stats_aggregation():
     with pytest.raises(KeyError):
         sim.component("nope")
     sink.stats.inc("things", 3)
-    assert sim.aggregate_stats().get("things") == 3
+    assert sim.stats_report()["sink"]["things"] == 3
 
 
 def test_schedule_in_past_rejected():
