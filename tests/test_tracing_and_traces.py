@@ -1,10 +1,9 @@
-"""Tests for the message tracer and trace-driven workloads."""
+"""Tests for the network trace ring and trace-driven workloads."""
 
 import pytest
 
 from repro.host.config import AccelOrg, HostProtocol, SystemConfig
 from repro.host.system import build_system
-from repro.sim.tracing import MessageTracer
 from repro.workloads.synthetic import WorkloadDriver, run_drivers, streaming
 from repro.workloads.trace import (
     TraceOp,
@@ -20,85 +19,16 @@ def _system(org=AccelOrg.XG, **kw):
     return build_system(SystemConfig(org=org, n_cpus=1, n_accel_cores=1, **kw))
 
 
-def test_tracer_records_messages():
+def test_trace_ring_records_sends_on_both_networks():
     system = _system()
-    tracer = MessageTracer([system.host_net, system.accel_net])
     system.accel_seqs[0].store(0x1000, 5)
     system.sim.run()
-    assert len(tracer) > 0
-    assert any(e.network == "accel" for e in tracer.entries)
-    assert any(e.network == "host" for e in tracer.entries)
-
-
-def test_tracer_addr_filter():
-    system = _system()
-    tracer = MessageTracer([system.host_net, system.accel_net], addr_filter=[0x2000])
-    system.accel_seqs[0].store(0x1000, 5)
-    system.sim.run()
-    assert len(tracer) == 0
-    system.accel_seqs[0].store(0x2004, 5)  # same block as 0x2000
-    system.sim.run()
-    assert len(tracer) > 0
-    assert all((e.msg.addr & ~63) == 0x2000 for e in tracer.entries)
-
-
-def test_tracer_endpoint_filter_and_queries():
-    system = _system()
-    tracer = MessageTracer([system.host_net], endpoint_filter=["xg"])
-    system.accel_seqs[0].load(0x3000)
-    system.cpu_seqs[0].load(0x9000)
-    system.sim.run()
-    assert all("xg" in (e.msg.sender, e.msg.dest) for e in tracer.entries)
-    assert tracer.for_block(0x3000)
-    assert not tracer.for_block(0x9000)
-    assert "xg" in tracer.format(tracer.tail(3))
-
-
-def test_tracer_detach_restores_network():
-    system = _system()
-    tracer = MessageTracer([system.host_net])
-    tracer.detach()
-    system.cpu_seqs[0].load(0x1000)
-    system.sim.run()
-    assert len(tracer) == 0
-
-
-def test_tracer_layered_detach_preserves_other_tracers():
-    """Regression: detaching the first of two tracers on one network used
-    to restore the pre-second-tracer ``send``, silently unhooking the
-    survivor."""
-    system = _system()
-    first = MessageTracer([system.host_net])
-    second = MessageTracer([system.host_net])
-    first.detach()
-    system.cpu_seqs[0].load(0x1000)
-    system.sim.run()
-    assert len(first) == 0
-    assert len(second) > 0
-    second.detach()
-    # Last layer out restores the base method and drops the stack.
-    assert not hasattr(system.host_net, "_tracer_stack")
-    recorded = len(second)
-    system.cpu_seqs[0].load(0x2000)
-    system.sim.run()
-    assert len(second) == recorded
-
-
-def test_tracer_detach_out_of_order_and_idempotent():
-    system = _system()
-    a = MessageTracer([system.host_net])
-    b = MessageTracer([system.host_net])
-    c = MessageTracer([system.host_net])
-    b.detach()
-    b.detach()  # second detach is a no-op, not an error
-    system.cpu_seqs[0].load(0x1000)
-    system.sim.run()
-    assert len(b) == 0
-    assert len(a) > 0
-    assert len(a) == len(c)
-    c.detach()
-    a.detach()
-    assert not hasattr(system.host_net, "_tracer_stack")
+    trace = list(system.sim.trace)
+    assert {entry[1] for entry in trace} == {"host", "accel"}
+    for tick, _net, _mtype, addr, sender, dest, _note in trace:
+        assert 0 <= tick <= system.sim.tick
+        assert addr & ~63 == 0x1000
+        assert sender and dest
 
 
 def test_recorder_captures_issued_ops():
