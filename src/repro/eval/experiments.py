@@ -278,16 +278,16 @@ def _run_stress_job(config, tester_kwargs, label, seed, ops_per_run,
     picklable data. Failures never escape — a deadlock row carries the
     forensic diagnosis from a traced deterministic replay.
 
-    ``lineage=True`` (with a config built ``lineage=True``) additionally
-    ships this run's blame aggregate under ``summary["blame"]`` as a
-    plain :meth:`~repro.obs.lineage.BlameMatrix.as_dict` payload.
+    ``lineage=True`` additionally records causal lineage and ships this
+    run's blame aggregate under ``summary["blame"]`` as a plain
+    :meth:`~repro.obs.lineage.BlameMatrix.as_dict` payload.
     """
     system, tester = _build_stress_tester(config, tester_kwargs, ops_per_run)
     obs = None
     if telemetry or lineage:
         from repro.obs import Telemetry
 
-        obs = Telemetry(system.sim, transitions=False)
+        obs = Telemetry(system.sim, transitions=False, lineage=lineage)
     outcome = {"config": label, "seed": seed, "passed": True, "detail": ""}
     try:
         tester.run()
@@ -346,7 +346,7 @@ def run_stress_coverage(seeds=range(4), ops_per_run=2000, num_blocks=5, workers=
     for seed in seeds:
         for config, tester_kwargs, suffix in _stress_jobs(seed, num_blocks):
             label = config.label + suffix
-            fast = dataclasses.replace(config, trace_depth=0, lineage=lineage)
+            fast = dataclasses.replace(config, trace_depth=0)
             campaign_jobs.append(
                 CampaignJob(
                     runner=_run_stress_job,

@@ -144,7 +144,6 @@ def bench_xg_stress(mode="default", seed=0, ops=1200):
         mem_latency=30,
         trace_depth=0,
         metrics=mode != "metrics_off",
-        lineage=mode == "lineage",
     )
     with ExitStack() as stack:
         if mode == "fabric":
@@ -164,7 +163,7 @@ def bench_xg_stress(mode="default", seed=0, ops=1200):
             # lineage cost being measured
             from repro.obs import Telemetry
 
-            Telemetry(system.sim, transitions=False)
+            Telemetry(system.sim, transitions=False, lineage=True)
         blocks = [0x1000 + 64 * i for i in range(6)]
         tester = RandomTester(
             system.sim, system.sequencers, blocks,

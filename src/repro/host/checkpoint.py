@@ -135,7 +135,7 @@ STATE = {
 STATIC = {
     Simulator: ("seed", "events", "components", "networks", "_stats",
                 "deadlock_threshold", "_component_index", "metrics_enabled",
-                "obs", "lineage", "lineage_default", "monitors"),
+                "obs", "lineage", "monitors"),
     EventQueue: (),
     # ``send`` is the explorer's per-instance parking shadow
     Network: ("sim", "latency", "ordered", "name", "bandwidth", "fault_plan",

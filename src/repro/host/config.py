@@ -89,10 +89,6 @@ class SystemConfig:
     # forensic trace-ring depth; 0 disables recording entirely (fast
     # campaign mode — replay the seed with a nonzero depth for forensics)
     trace_depth: int = 64
-    # causal message lineage + per-span blame attribution
-    # (repro.obs.lineage); records only flow once a Telemetry hub is
-    # attached, and the default is a true no-op on every hot path
-    lineage: bool = False
 
     # set True by the stress harness: random message latencies
     randomize_latencies: bool = False

@@ -167,9 +167,6 @@ def build_system(config: SystemConfig) -> System:
         metrics=config.metrics,
     )
     system.sim = sim
-    # Records only flow once Telemetry attaches a LineageTracker; this
-    # default just makes a later `Telemetry(sim)` honor the config.
-    sim.lineage_default = config.lineage
     system.memory = MainMemory(block_size=config.block_size, latency=config.mem_latency)
 
     if config.randomize_latencies:

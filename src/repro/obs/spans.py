@@ -222,11 +222,14 @@ class Telemetry:
     * **marks** — instants worth seeing on a timeline (guarantee
       violations, tolerated anomalies, duplicate suppression);
     * **series** — periodic counter snapshots for campaign jobs
-      (:meth:`start_series`).
+      (:meth:`start_series`);
+    * **lineage** — with ``lineage=True``, and only then, a
+      :class:`~repro.obs.lineage.LineageTracker` behind per-span blame,
+      mirrored on ``sim.lineage`` for the engine's hooks.
     """
 
     def __init__(self, sim, transitions=True, max_transitions=200_000,
-                 span_capacity=250_000, lineage=None):
+                 span_capacity=250_000, lineage=False):
         self.sim = sim
         self.spans = SpanRecorder(capacity=span_capacity)
         self.transitions = [] if transitions else None
@@ -238,8 +241,6 @@ class Telemetry:
         self.series = []
         self.series_interval = 0
         self._finalized = False
-        if lineage is None:
-            lineage = getattr(sim, "lineage_default", False)
         if lineage:
             from repro.obs.lineage import LineageTracker
 

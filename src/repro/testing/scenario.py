@@ -399,7 +399,6 @@ def run_scenario(scenario):
         invariant_interval=s.invariant_interval,
         mem_latency=30,
         fault_plan=fault_plan,
-        lineage=s.lineage,
         tags={"adversary": (kind, kwargs)},
     )
     system = build_system(config)
@@ -407,7 +406,7 @@ def run_scenario(scenario):
     if s.telemetry:
         from repro.obs import Telemetry
 
-        obs = Telemetry(system.sim)
+        obs = Telemetry(system.sim, lineage=s.lineage)
         if s.series_interval:
             obs.start_series(s.series_interval)
     # The adversary may do anything on its granted pages, nothing elsewhere.

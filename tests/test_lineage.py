@@ -54,11 +54,10 @@ def _stress_system(host, variant, seed=0, ops=400, **overrides):
         shared_l2_assoc=4,
         randomize_latencies=True,
         seed=seed,
-        lineage=True,
         **overrides,
     )
     system = build_system(config)
-    obs = Telemetry(system.sim)
+    obs = Telemetry(system.sim, lineage=True)
     tester = RandomTester(
         system.sim, system.sequencers, BLOCKS, ops_target=ops, store_fraction=0.45
     )
@@ -138,10 +137,9 @@ def test_golden_digest_identical_with_lineage_on():
             shared_l2_assoc=4,
             randomize_latencies=True,
             seed=3,
-            lineage=lineage,
         )
         system = build_system(config)
-        obs = Telemetry(system.sim)
+        obs = Telemetry(system.sim, lineage=lineage)
         tester = RandomTester(
             system.sim, system.sequencers, BLOCKS, ops_target=600,
             store_fraction=0.45,
