@@ -6,13 +6,17 @@ The claims under test are the ones every parallel campaign rests on:
   come back in submission order, not completion order);
 * a worker-side escape — including a forced ``DeadlockError`` — comes
   back as a failed :class:`CampaignOutcome` carrying forensics, and
-  never hangs or poisons the pool.
+  never hangs or poisons the pool;
+* a worker process that dies mid-job comes back as a ``WorkerLost``
+  outcome, with or without a telemetry fabric.
 
 All runners here are module-level so the job specs stay picklable.
 """
 
 import dataclasses
 import json
+import os
+import signal
 
 from repro.eval.campaign import (
     CampaignJob,
@@ -35,6 +39,10 @@ def _square(x):
 
 def _boom(msg):
     raise ValueError(msg)
+
+
+def _die(code):
+    os.kill(os.getpid(), signal.SIGKILL)
 
 
 class _Lazy(Component):
@@ -101,6 +109,25 @@ def test_forced_deadlock_surfaces_diagnosis():
             assert "components with pending work" in outcome.diagnosis
     # trace_depth=0 workers still produce a (degraded) diagnosis
     assert "trace disabled" in outcomes[1].diagnosis
+
+
+def test_worker_killed_without_fabric_yields_worker_lost():
+    """A killed worker used to raise BrokenProcessPool out of the campaign
+    when no fabric was attached, losing every finished outcome."""
+    jobs = [
+        CampaignJob(runner=_square, args=(2,), label="ok"),
+        CampaignJob(runner=_die, args=(0,), label="victim"),
+        CampaignJob(runner=_square, args=(3,), label="after"),
+    ]
+    outcomes = run_campaign(jobs, workers=2)
+    assert [o.label for o in outcomes] == ["ok", "victim", "after"]
+    assert [o.index for o in outcomes] == [0, 1, 2]
+    victim = outcomes[1]
+    assert not victim.ok and victim.error_type == "WorkerLost"
+    assert victim.forensics is None
+    for outcome in (outcomes[0], outcomes[2]):
+        # a job that shared the broken pool may be lost with it
+        assert outcome.ok or outcome.error_type == "WorkerLost"
 
 
 def test_merge_failure_into_keeps_row_rectangular():
