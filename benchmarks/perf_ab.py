@@ -8,7 +8,9 @@ second checkout, of the commit the change is based on. Each of
 workload in :data:`WORKLOADS`, alternating which side goes first, each
 side with its own checkout's runner. The command, run length and the
 end-to-end metrics with their bounds and directions come from
-``BENCHMARK.json``.
+``BENCHMARK.json``. Before the first pair, ``compileall`` writes the
+bytecode of ``src`` and ``perfbench`` in both checkouts, so a working
+tree and a fresh clone load their modules the same way.
 
 Every run's result goes to stdout as one JSON line (side, workload,
 pair, position, seed, the run's provenance with its commit, and the
@@ -44,6 +46,20 @@ def load_spec():
     with open(ROOT / "BENCHMARK.json") as fh:
         spec = json.load(fh)
     return spec["command"], spec["run_seconds"], spec["end_to_end"]
+
+
+def compile_bytecode(checkout, python):
+    """Write the bytecode of ``src`` and ``perfbench`` in ``checkout``.
+
+    A working tree usually holds ``__pycache__`` files and a fresh clone
+    none. With ``PYTHONDONTWRITEBYTECODE=1`` the fresh side then compiles
+    every module again in each set-up probe, which reads as a slower
+    ``setup_s``. ``compileall`` writes bytecode even under that variable.
+    ``python`` is the benchmark command's interpreter, so the bytecode
+    carries the tag of the interpreter that loads it.
+    """
+    subprocess.run([python, "-m", "compileall", "-q", "src", "perfbench"],
+                   cwd=checkout, check=True, capture_output=True)
 
 
 def run_side(checkout, command, workload, seconds):
@@ -155,6 +171,8 @@ def main(argv=None):
         parser.error(f"{base} has no perfbench/run.py")
     checkouts = {"base": base, "change": ROOT}
     command, seconds, end_to_end = load_spec()
+    for checkout in checkouts.values():
+        compile_bytecode(checkout, command[0])
     results = {side: {workload: [] for workload in WORKLOADS} for side in checkouts}
     for pair in range(PAIRS):
         order = ("base", "change") if pair % 2 == 0 else ("change", "base")

@@ -1,6 +1,8 @@
-"""The verdict of ``benchmarks/perf_ab.py`` on synthetic run results."""
+"""``benchmarks/perf_ab.py``: its verdict on synthetic run results, and
+the bytecode it writes in both checkouts before the first pair."""
 
 import importlib.util
+import sys
 from pathlib import Path
 
 SCRIPT = Path(__file__).resolve().parent.parent / "benchmarks" / "perf_ab.py"
@@ -81,3 +83,39 @@ def test_change_side_without_a_result_fails():
     change[0] = None
     _rows, failures = _judge(_runs(), change)
     assert len(failures) == 1 and "no result" in failures[0]
+
+
+def _checkout(root):
+    """A minimal checkout: one module under ``src`` and one under ``perfbench``."""
+    (root / "src" / "pkg").mkdir(parents=True)
+    (root / "src" / "pkg" / "mod.py").write_text("VALUE = 1\n")
+    (root / "perfbench").mkdir()
+    (root / "perfbench" / "run.py").write_text("print('run')\n")
+    return root
+
+
+def test_compile_bytecode_writes_pycache_despite_dontwritebytecode(tmp_path, monkeypatch):
+    monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", "1")
+    checkout = _checkout(tmp_path / "checkout")
+    perf_ab.compile_bytecode(checkout, sys.executable)
+    for folder in (checkout / "src" / "pkg", checkout / "perfbench"):
+        assert list((folder / "__pycache__").glob("*.pyc")), folder
+
+
+def test_both_checkouts_compile_before_the_first_run(tmp_path, monkeypatch):
+    base = _checkout(tmp_path / "base")
+    calls = []
+    monkeypatch.setattr(perf_ab, "PAIRS", 1)
+    monkeypatch.setattr(perf_ab, "compile_bytecode",
+                        lambda checkout, python: calls.append(("compile", checkout)))
+
+    def run_side(checkout, command, workload, seconds):
+        calls.append(("run", checkout))
+        return _result(), {"commit": "0" * 40}, None
+
+    monkeypatch.setattr(perf_ab, "run_side", run_side)
+    assert perf_ab.main([str(base)]) == 0
+    assert calls[:2] == [("compile", base.resolve()), ("compile", perf_ab.ROOT)]
+    runs = calls[2:]
+    assert len(runs) == 2 * len(perf_ab.WORKLOADS)
+    assert {kind for kind, _ in runs} == {"run"}
