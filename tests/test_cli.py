@@ -107,6 +107,33 @@ def test_fuzz_live_frames_single_run(capsys):
     assert "fabric: jobs 1/1" in out
 
 
+SMALL_CAMPAIGN = ["--seeds", "1", "--ops", "100", "--workers", "1"]
+BLAME_TITLE = "blame breakdown (% of span ticks)"
+
+
+def test_report_lineage_prints_blame_table(capsys):
+    assert main(["report", "--lineage"] + SMALL_CAMPAIGN) == 0
+    out = capsys.readouterr().out
+    assert "0 failures" in out
+    assert BLAME_TITLE in out
+    assert "no lineage recorded" not in out
+    assert "slowest" in out.split(BLAME_TITLE, 1)[1]
+
+
+def test_blame_output_round_trips_through_blame_matrix(tmp_path, capsys):
+    from repro.obs import BlameMatrix
+
+    path = tmp_path / "blame.json"
+    assert main(["blame", "-o", str(path)] + SMALL_CAMPAIGN) == 0
+    out = capsys.readouterr().out
+    assert BLAME_TITLE in out
+    assert f"wrote {path}" in out
+    data = json.loads(path.read_text())
+    assert data["cells"], "a lineage-on campaign blames every span kind it closed"
+    written = json.dumps(data, sort_keys=True, separators=(",", ":")).encode()
+    assert BlameMatrix.from_dict(data).canonical() == written
+
+
 def test_explore_command(tmp_path, capsys):
     report = tmp_path / "explore_report.json"
     assert main(["explore", "--max-states", "40", "-o", str(report)]) == 0
