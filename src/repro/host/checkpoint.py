@@ -6,7 +6,7 @@ instead of replaying the parent's path on a freshly built system. A
 restore must bring back everything such a replay would rebuild: not just
 the logical state ``snapshot_state()`` hashes, but the physical history
 that steers later behaviour — LRU clocks, ticks, pending timers, RNG
-state and the event queue's slot columns.
+state and the event queue's pending entries.
 
 Two rules make a restore safe without recompiling anything:
 
@@ -16,26 +16,25 @@ Two rules make a restore safe without recompiling anything:
   limiter and permission table are what compiled closures and caches
   hold: ``fire`` closes over ``coverage``, networks cache routes to port
   buffers, controllers pre-bind ``_prio_ports`` and wakeup callbacks, the
-  run loop binds the queue's columns. A restore writes their attributes
-  back and refills every container attribute in place — a dict, set,
-  list, deque or defaultdict is never rebound.
+  run loop binds the queue's heap and call table. A restore writes their
+  attributes back and refills every container attribute in place — a
+  dict, set, list, deque or defaultdict is never rebound.
 * **No copied object is shared between groups.** The fixed objects fall
   into groups (:func:`partition`): one per controller with everything it
   owns — its port buffers, cache array, TBE table and stats, the
   sequencers that feed it, main memory for the directory/L2, and an
-  XG's error log, rate limiter and permission table — one for the
-  networks, and the *core*: the simulator, the event queue and every XG
-  TBE table. A checkpoint holds one pickle per group of the group's
-  captured attributes. Cache entries, TBEs, messages, data blocks, timer
-  events and mirror entries are copied by value inside their group's
-  pickle, whose memo is pre-seeded with the fixed objects, their wakeup
-  callbacks and every :class:`IdEnum` member, so a reference from a
-  copied object to a fixed one (an event's queue, a timer's bound
-  method) comes back as the live object. Aliasing survives only within a
-  pickle, so the two aliases a system holds sit inside one group each: a
-  sequencer's request message is held by the sequencer and by its
-  cache's TBE table, and an XG probe timeout by XG's TBE table and by the
-  queue's slot column.
+  XG's error log, rate limiter, permission table and TBE table — one for
+  the networks, and the *core*: the simulator and the event queue. A
+  checkpoint holds one pickle per group of the group's captured
+  attributes. Cache entries, TBEs, messages, data blocks and mirror
+  entries are copied by value inside their group's pickle, whose memo is
+  pre-seeded with the fixed objects, their wakeup callbacks and every
+  :class:`IdEnum` member, so a reference from a copied object to a fixed
+  one (a pending timer's bound method) comes back as the live object.
+  Aliasing survives only within a pickle, so the one alias a system
+  holds sits inside one group: a sequencer's request message is held by
+  the sequencer and by its cache's TBE table. An XG TBE keeps its probe
+  timeout as the queue's int token, which aliases nothing.
 
 Groups let a caller that knows what changed touch only that. A
 checkpoint taken against a *base* — the checkpoint the live objects
@@ -85,7 +84,7 @@ from repro.protocols.hammer.directory import HammerDirectory
 from repro.protocols.mesi.l1 import MesiL1
 from repro.protocols.mesi.l2 import MesiL2
 from repro.sim.component import Component, MessageBuffer
-from repro.sim.event import Event, EventQueue
+from repro.sim.event import EventQueue
 from repro.sim.idenum import IdEnum
 from repro.sim.message import Message
 from repro.sim.network import Network
@@ -107,8 +106,7 @@ PROTOCOL = 3
 #: Per-class attributes a checkpoint captures, merged along the MRO.
 STATE = {
     Simulator: ("tick", "_events_fired", "rng", "trace"),
-    EventQueue: ("_heap", "_buckets", "_objs", "_gens", "_free", "_live",
-                 "_cancelled", "_draining_tick"),
+    EventQueue: ("_heap", "_calls", "_seq"),
     Network: ("_last_arrival", "_next_slot"),
     MainMemory: ("_blocks", "reads", "writes"),
     MessageBuffer: ("_entries", "_head", "_seq", "_front_seq"),
@@ -179,7 +177,7 @@ STATIC = {
 #: Classes whose instances are copied by value; seeding them (and their
 #: slot names, the keys of their pickled state) keeps their references
 #: to one memo lookup per checkpoint.
-VALUE_CLASSES = (Message, DataBlock, CacheEntry, TBE, Event, MirrorEntry,
+VALUE_CLASSES = (Message, DataBlock, CacheEntry, TBE, MirrorEntry,
                  OutstandingOp, XGError, Histogram)
 
 
@@ -269,23 +267,20 @@ def fixed_objects(system):
 def partition(system):
     """The fixed objects of ``system`` in groups, each in discovery order.
 
-    The first group, the core, is the simulator, the event queue and every
-    XG TBE table (an XG probe timeout is held by its TBE and by the
-    queue). The second is the networks. Then comes one group per
-    controller, in component order: the controller, the sequencers
-    attached to it (a request message is held by its sequencer and by the
-    cache's TBE), main memory for the directory/L2, and every other fixed
-    object the controller's wiring reaches first — its port buffers, cache
-    array, TBE table and stats, and for XG its error log, rate limiter and
-    permission table. Whatever no component or network reaches joins the
-    core.
+    The first group, the core, is the simulator and the event queue. The
+    second is the networks. Then comes one group per controller, in
+    component order: the controller, the sequencers attached to it (a
+    request message is held by its sequencer and by the cache's TBE), main
+    memory for the directory/L2, and every other fixed object the
+    controller's wiring reaches first — its port buffers, cache array, TBE
+    table and stats, and for XG its error log, rate limiter and permission
+    table. Whatever no component or network reaches joins the core.
     """
     objects = fixed_objects(system)
     sim = system.sim
     core, networks, controllers = [], [], {}
     group = {id(sim): core, id(sim.events): core}
     group.update((id(net), networks) for net in sim.networks)
-    group.update((id(xg.tbes), core) for xg in system.xgs)
     for comp in sim.components:
         head = comp.cache if isinstance(comp, Sequencer) and comp.cache is not None else comp
         group[id(comp)] = controllers.setdefault(id(head), [])

@@ -9,7 +9,7 @@ coherence :class:`~repro.sim.message.Message` carriers, and point-to-point
 (random-latency) delivery.
 """
 
-from repro.sim.event import Event, EventQueue
+from repro.sim.event import EventQueue
 from repro.sim.message import Message
 from repro.sim.network import FixedLatency, Network, RandomLatency
 from repro.sim.component import Component, MessageBuffer
@@ -19,7 +19,6 @@ from repro.sim.stats import Stats
 __all__ = [
     "Component",
     "DeadlockError",
-    "Event",
     "EventQueue",
     "FixedLatency",
     "Message",

@@ -160,9 +160,8 @@ class Component:
         # ports are fixed at construction; cache the buffers for the
         # per-wakeup scans below
         self._port_buffers = tuple(self.in_ports.values())
-        # One outstanding wakeup max, tracked as (tick, cancel token) ints
-        # on the queue's allocation-free schedule_cb path. ``None`` tick
-        # means no wakeup is pending.
+        # One outstanding wakeup max, tracked as its tick and the queue's
+        # int cancel token. ``None`` tick means no wakeup is pending.
         self._wakeup_tick = None
         self._wakeup_token = 0
         self._wakeup_cb = self._wakeup_wrapper
@@ -196,11 +195,11 @@ class Component:
         if pending is not None:
             if pending <= tick:
                 return
-            sim.events.cancel_token(self._wakeup_token)
+            sim.events.cancel(self._wakeup_token)
         # tick is clamped >= now, so schedule_at's validation is redundant;
         # go straight to the event queue (this path fires per delivery)
         self._wakeup_tick = tick
-        self._wakeup_token = sim.events.schedule_cb(tick, self._wakeup_cb)
+        self._wakeup_token = sim.events.schedule(tick, self._wakeup_cb)
 
     def _wakeup_wrapper(self):
         self._wakeup_tick = None

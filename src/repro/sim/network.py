@@ -251,12 +251,12 @@ class Network:
         pending = dest._wakeup_tick
         if pending is None:
             dest._wakeup_tick = arrival
-            dest._wakeup_token = self._events.schedule_cb(arrival, dest._wakeup_cb)
+            dest._wakeup_token = self._events.schedule(arrival, dest._wakeup_cb)
         elif pending > arrival:
             events = self._events
-            events.cancel_token(dest._wakeup_token)
+            events.cancel(dest._wakeup_token)
             dest._wakeup_tick = arrival
-            dest._wakeup_token = events.schedule_cb(arrival, dest._wakeup_cb)
+            dest._wakeup_token = events.schedule(arrival, dest._wakeup_cb)
         lineage = sim.lineage
         if lineage is not None:
             lineage.record_send(msg, msg.send_tick, arrival, wire)

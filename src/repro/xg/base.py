@@ -567,7 +567,7 @@ class CrossingGuardBase(CoherenceController):
                 obs.spans.phase(span, "accel_answered", self.sim.tick)
         timeout = tbe.meta.get("timeout_event")
         if timeout is not None:
-            timeout.cancel()
+            self.sim.events.cancel(timeout)
         got_wb = msg.mtype in (AccelMsg.CleanWB, AccelMsg.DirtyWB)
         # isinstance: a Byzantine payload (wrong type entirely) is treated
         # as missing data rather than allowed to crash the copy below
@@ -662,7 +662,7 @@ class CrossingGuardBase(CoherenceController):
     def _close_probe(self, addr, tbe):
         timeout = tbe.meta.get("timeout_event")
         if timeout is not None:
-            timeout.cancel()
+            self.sim.events.cancel(timeout)
         obs = self.sim.obs
         lineage = self.sim.lineage
         if lineage is not None:
@@ -721,7 +721,7 @@ class CrossingGuardBase(CoherenceController):
                 obs.spans.phase(span, "put_race", self.sim.tick)
         timeout = tbe.meta.get("timeout_event")
         if timeout is not None:
-            timeout.cancel()
+            self.sim.events.cancel(timeout)
         self.send_to_accel(AccelMsg.WBAck, addr)
         got_wb = msg.mtype in (AccelMsg.PutE, AccelMsg.PutM)
         data = msg.data.copy() if isinstance(msg.data, DataBlock) else None

@@ -37,7 +37,7 @@ def _fingerprint(harness):
         sim._events_fired,
         tuple(comp.cache._use_clock for comp in sim.components
               if isinstance(getattr(comp, "cache", None), CacheArray)),
-        sim.events._live,
+        len(sim.events),
     )
 
 
@@ -195,8 +195,9 @@ def test_no_copied_object_is_shared_between_groups(host, variant):
 
 
 def test_groups_follow_the_aliases():
-    """The two aliases a system holds stay inside one group each: a
-    sequencer with its cache, and every XG TBE table with the queue."""
+    """The one alias a system holds stays inside one group: a sequencer
+    with its cache. XG's TBE table, whose probe timeouts are int tokens,
+    sits in XG's own group, not with the queue."""
     harness = ExplorerHarness({"host": "mesi", "variant": "full_state",
                                "addresses": 1, "n_cpus": 2})
     system = harness.system
@@ -205,8 +206,8 @@ def test_groups_follow_the_aliases():
     for seq in system.sequencers:
         assert group_of[id(seq)] == group_of[id(seq.cache)]
     for xg in system.xgs:
-        assert group_of[id(xg.tbes)] == group_of[id(system.sim.events)] == 0
-        assert group_of[id(xg.error_log)] == group_of[id(xg)] != 0
+        assert group_of[id(xg.tbes)] == group_of[id(xg.error_log)] == group_of[id(xg)]
+        assert group_of[id(xg)] != group_of[id(system.sim.events)] == 0
     assert group_of[id(system.memory)] == group_of[id(system.directory)]
 
 
@@ -306,7 +307,7 @@ def test_mid_run_restore_replays_identically(host, org, variant, levels):
     _drive(system, rng, 60)
     checkpoint = system.checkpoint()
     traffic = rng.getstate()
-    assert system.sim.events._live  # really mid-flight
+    assert len(system.sim.events)  # really mid-flight
     first = _finish(system, rng, 60)
     system.restore(checkpoint)
     rng.setstate(traffic)
@@ -338,9 +339,10 @@ def test_root_checkpoint_is_taken_before_the_first_action():
         harness.root
 
 
-def test_probe_timeout_stays_one_object_across_restore():
-    """An XG probe timeout is held by its TBE and by the queue's slot
-    column; after a restore both must still be the same live event."""
+def test_probe_timeout_token_cancels_across_restore():
+    """An XG probe timeout is an int token in its TBE and a pending entry
+    in the queue; a token taken before a restore still names, and cancels,
+    that entry after it."""
     harness = ExplorerHarness({"host": "mesi", "variant": "full_state",
                                "addresses": 1, "n_cpus": 1})
     root = harness.root
@@ -357,11 +359,18 @@ def test_probe_timeout_stays_one_object_across_restore():
         if probes:
             break
     assert probes, "no walk reached a forwarded probe"
-    checkpoint = harness.checkpoint()
-    harness.restore(checkpoint)
+    (tbe,) = probes
+    # the whole-system checkpoint: a cancel outside harness.apply is a
+    # change the harness's incremental restore would not know of
+    system, queue = harness.system, harness.sim.events
+    token = tbe.meta["timeout_event"]
+    checkpoint = system.checkpoint()
+    assert queue.cancel(token)
+    system.restore(checkpoint)
     (tbe,) = [tbe for tbe in xg.tbes if "timeout_event" in tbe.meta]
-    event, queue = tbe.meta["timeout_event"], harness.sim.events
-    assert queue._objs[event._slot] is event and event._queue is queue
-    live = queue._live
-    event.cancel()
-    assert queue._live == live - 1
+    assert tbe.meta["timeout_event"] == token
+    assert queue._calls[token] == (xg._probe_timeout, (tbe.addr,))
+    live = len(queue)
+    assert queue.cancel(token)
+    assert len(queue) == live - 1
+    assert not queue.cancel(token)

@@ -1,7 +1,7 @@
 """Hot-path rewrites: the semantics the engine optimizations must keep.
 
 Every structure here was rewritten for throughput (sorted-list message
-buffers, live-counter event queue with compaction, trace-free fast mode,
+buffers, event queue with heap rebuilds, trace-free fast mode,
 dict-indexed component lookup, dest-respecting broadcast); these tests
 pin the observable behavior the rest of the repo depends on.
 """
@@ -112,49 +112,48 @@ def test_buffer_next_arrival_after_with_out_of_order_suffix():
 
 
 def test_event_queue_len_tracks_live_counter():
-    q = EventQueue()
-    events = [q.schedule(t, lambda: None) for t in range(10)]
+    sim = Simulator()
+    q = sim.events
+    tokens = [sim.schedule_at(t, lambda: None) for t in range(10)]
     assert len(q) == 10
-    for e in events[::2]:
-        e.cancel()
+    for token in tokens[::2]:
+        q.cancel(token)
     assert len(q) == 5
-    events[1].cancel()
-    events[1].cancel()  # double-cancel must not decrement twice
+    assert q.cancel(tokens[1])
+    assert not q.cancel(tokens[1])  # double-cancel must not decrement twice
     assert len(q) == 4
-    fired = 0
-    while q.pop() is not None:
-        fired += 1
-    assert fired == 4
+    assert sim.run() == "idle"
+    assert sim._events_fired == 4
     assert len(q) == 0
 
 
 def test_event_queue_compaction_preserves_pop_order():
-    q = EventQueue()
+    sim = Simulator()
+    q = sim.events
+    fired = []
     keep = []
     cancelled = []
     for t in range(4 * EventQueue.COMPACT_MIN):
-        e = q.schedule(t, lambda: None)
-        (keep if t % 4 == 0 else cancelled).append(e)
-    for e in cancelled:
-        e.cancel()  # >half cancelled: compaction kicks in mid-loop
-    assert q._cancelled * 2 <= max(len(q._heap), 1), "heap was compacted"
-    ticks = []
-    while True:
-        e = q.pop()
-        if e is None:
-            break
-        ticks.append(e.tick)
-    assert ticks == [e.tick for e in keep]
+        token = sim.schedule_at(t, fired.append, t)
+        (keep if t % 4 == 0 else cancelled).append(token)
+    for token in cancelled:
+        q.cancel(token)  # >half cancelled: the heap is rebuilt mid-loop
+    assert len(q._heap) <= 2 * len(q) + EventQueue.COMPACT_MIN
+    assert len(q._heap) < len(keep) + len(cancelled), "heap was rebuilt"
+    sim.run()
+    assert fired == list(range(0, 4 * EventQueue.COMPACT_MIN, 4))
 
 
 def test_cancel_after_pop_does_not_corrupt_counts():
-    q = EventQueue()
-    e = q.schedule(3, lambda: None)
-    q.schedule(5, lambda: None)
-    assert q.pop() is e
-    e.cancel()  # already popped: must not touch the live count
+    sim = Simulator()
+    q = sim.events
+    first = sim.schedule_at(3, lambda: None)
+    sim.schedule_at(5, lambda: None)
+    assert sim.run(max_events=1) == "max_events"
+    assert sim.tick == 3
+    assert not q.cancel(first)  # already fired: must not touch the live count
     assert len(q) == 1
-    assert q.pop() is not None
+    assert sim.run() == "idle"
     assert len(q) == 0
 
 

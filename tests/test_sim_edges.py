@@ -130,7 +130,7 @@ def test_event_cancel_via_component_wakeup_dedup():
     sink.request_wakeup(50)
     # the tick-100 entry was cancelled: its token is stale and the queue
     # holds exactly one live event again
-    assert not sim.events.cancel_token(first_token)
+    assert not sim.events.cancel(first_token)
     assert len(sim.events) == 1
     sink.request_wakeup(70)  # later than pending: absorbed
     assert sink._wakeup_tick == 50
