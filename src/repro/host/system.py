@@ -120,39 +120,6 @@ class System:
             raise RuntimeError(f"system did not drain: {reason}")
         return self
 
-    def stats_summary(self):
-        """The numbers a report needs, in one flat dict."""
-
-        def latency(seqs):
-            total = count = 0
-            for seq in seqs:
-                hist = seq.stats.histogram("op_latency")
-                total += hist.total
-                count += hist.count
-            return (total / count if count else 0.0), count
-
-        cpu_latency, cpu_ops = latency(self.cpu_seqs)
-        accel_latency, accel_ops = latency(self.accel_seqs)
-        summary = {
-            "config": self.config.label,
-            "ticks": self.sim.tick,
-            "cpu_ops": cpu_ops,
-            "cpu_mean_latency": cpu_latency,
-            "accel_ops": accel_ops,
-            "accel_mean_latency": accel_latency,
-            "host_net_messages": self.sim.stats_for("network.host").get("messages"),
-            "accel_net_messages": self.sim.stats_for("network.accel").get("messages"),
-        }
-        if self.xgs:
-            summary["xg_to_host_msgs"] = sum(
-                xg.stats.get("xg_to_host_msgs") for xg in self.xgs
-            )
-            summary["guarantee_violations"] = sum(len(log) for log in self.error_logs)
-            summary["xg_storage_bits"] = sum(
-                xg.storage_report()["total_bits"] for xg in self.xgs
-            )
-        return summary
-
 
 def _latency(lo, hi):
     return FixedLatency(lo) if lo == hi else RandomLatency(lo, hi)

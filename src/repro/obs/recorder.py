@@ -13,14 +13,7 @@ nothing.
 
 from collections import deque
 
-
-def format_trace_record(record):
-    """One network-trace ring tuple as a plain string (pickle-safe)."""
-    tick, net, mtype, addr, sender, dest, note = record
-    mname = getattr(mtype, "name", mtype)
-    addr_s = f"{addr:#x}" if isinstance(addr, int) else str(addr)
-    suffix = f" [{note}]" if note else ""
-    return f"t={tick} {net}: {mname} {addr_s} {sender}->{dest}{suffix}"
+from repro.sim.simulator import format_trace_record
 
 
 class FlightRecorder:

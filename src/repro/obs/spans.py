@@ -367,14 +367,6 @@ class Telemetry:
             bucket_width=bucket_width, top_n=top_n,
         )
 
-    def transition_counts(self):
-        """Aggregate (ctype, state, event) -> count over the recording."""
-        counts = {}
-        for _tick, _comp, ctype, state, event in self.transitions or ():
-            key = (ctype, state, event)
-            counts[key] = counts.get(key, 0) + 1
-        return counts
-
     def summary(self, bucket_width=8):
         """Picklable per-run digest for campaign-side merging."""
         hists = self.spans.latency_histograms(bucket_width=bucket_width)

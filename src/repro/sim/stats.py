@@ -150,24 +150,12 @@ class _ReadOnlyHistogram(Histogram):
     def observe(self, value):
         raise TypeError(
             "read-only empty histogram: Stats.histogram() of a never-observed "
-            "name is not registered; use Stats.observe() or ensure_histogram()"
+            "name is not registered; use Stats.observe()"
         )
 
 
 #: Shared immutable empty histogram (see :meth:`Stats.histogram`).
 EMPTY_HISTOGRAM = _ReadOnlyHistogram()
-
-
-class _DiscardHistogram(Histogram):
-    """Histogram that drops observations — backs :data:`NULL_STATS`."""
-
-    __slots__ = ()
-
-    def observe(self, value):
-        return None
-
-
-_DISCARD_HISTOGRAM = _DiscardHistogram()
 
 
 class StatSink:
@@ -241,14 +229,6 @@ class Stats:
             self.histograms[name] = hist
         hist.observe(value)
 
-    def ensure_histogram(self, name, bucket_width=16):
-        """Return histogram ``name``, registering it if new (pre-binding)."""
-        hist = self.histograms.get(name)
-        if hist is None:
-            hist = Histogram(bucket_width)
-            self.histograms[name] = hist
-        return hist
-
     def histogram(self, name):
         """Return histogram ``name``.
 
@@ -296,9 +276,6 @@ class NullStats:
 
     def observe(self, name, value):
         return None
-
-    def ensure_histogram(self, name, bucket_width=16):
-        return _DISCARD_HISTOGRAM
 
     def histogram(self, name):
         return EMPTY_HISTOGRAM

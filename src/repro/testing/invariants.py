@@ -15,6 +15,7 @@ from repro.accel.two_level import AL2State
 from repro.protocols.hammer.cache import HCState
 from repro.protocols.mesi.l1 import L1State
 from repro.protocols.mesif.l1 import FL1State
+from repro.sim.simulator import format_trace_record
 
 
 class InvariantError(AssertionError):
@@ -263,13 +264,7 @@ class InvariantWatchdog:
 
     def _forensics(self, sim, exc, final):
         """Span/trace snapshot taken at the violating sample."""
-        trace = []
-        if sim.trace is not None:
-            for tick, net, mtype, addr, sender, dest, note in sim.trace:
-                mname = getattr(mtype, "name", mtype)
-                addr_s = f"{addr:#x}" if isinstance(addr, int) else str(addr)
-                suffix = f" [{note}]" if note else ""
-                trace.append(f"t={tick} {net}: {mname} {addr_s} {sender}->{dest}{suffix}")
+        trace = [format_trace_record(record) for record in sim.trace or ()]
         open_spans = 0
         obs = sim.obs
         if obs is not None:

@@ -43,11 +43,16 @@ from repro.obs.fabric import (
     use_fabric,
     worker_emitter,
 )
-from repro.obs.recorder import FlightRecorder, format_trace_record
+from repro.obs.recorder import FlightRecorder
 from repro.obs.sketch import CounterSeries
 from repro.sim.component import Component
 from repro.sim.message import Message
-from repro.sim.simulator import Simulator, progress_hook, set_progress_hook
+from repro.sim.simulator import (
+    Simulator,
+    format_trace_record,
+    progress_hook,
+    set_progress_hook,
+)
 from repro.sim.stats import Histogram
 
 

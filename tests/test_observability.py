@@ -122,8 +122,6 @@ def test_telemetry_records_simple_transaction():
     assert get_span.phase_tick("translated") is not None
     assert get_span.phase_tick("host_granted") is not None
     assert obs.transitions  # controller hooks recorded (state, event) pairs
-    counts = obs.transition_counts()
-    assert sum(counts.values()) == len(obs.transitions)
 
 
 def test_transition_cap_counts_overflow():
@@ -475,7 +473,6 @@ def test_null_stats_discards_everything():
     NULL_STATS.inc("x")
     NULL_STATS.observe("lat", 5)
     NULL_STATS.sink("y").inc()
-    NULL_STATS.ensure_histogram("z").observe(1)
     assert NULL_STATS.as_dict() == {}
     assert NULL_STATS.counters is None  # hot paths key off this
 

@@ -97,23 +97,3 @@ def test_adversary_tag_builds_adversary():
 
     assert isinstance(system.accel_caches[0], DeafAccel)
     assert system.accel_caches[0].watchdog_exempt
-
-
-def test_stats_summary():
-    system = build_system(SystemConfig(org=AccelOrg.XG, n_cpus=1, n_accel_cores=1))
-    system.cpu_seqs[0].store(0x1000, 1)
-    system.sim.run()
-    system.accel_seqs[0].load(0x1000)
-    system.sim.run()
-    summary = system.stats_summary()
-    assert summary["config"] == "mesi/xg-full-L1"
-    assert summary["cpu_ops"] == 1 and summary["accel_ops"] == 1
-    assert summary["guarantee_violations"] == 0
-    assert summary["xg_to_host_msgs"] > 0
-    assert summary["accel_mean_latency"] > 0
-
-
-def test_stats_summary_baseline_has_no_xg_fields():
-    system = build_system(SystemConfig(org=AccelOrg.ACCEL_SIDE))
-    summary = system.stats_summary()
-    assert "xg_to_host_msgs" not in summary
