@@ -5,8 +5,9 @@
 Run from the root of the change checkout; ``BASE`` is the path of a
 second checkout, of the commit the change is based on. Each of
 :data:`PAIRS` pairs runs ``perfbench/run.py`` once per side on every
-workload in :data:`WORKLOADS`, alternating which side goes first, each
-side with its own checkout's runner. The command, run length and the
+workload in :data:`WORKLOADS` (``stress``, ``explore`` and
+``paper_perf``), alternating which side goes first, each side with its
+own checkout's runner. The command, run length and the
 end-to-end metrics with their bounds and directions come from
 ``BENCHMARK.json``. Before the first pair, ``compileall`` writes the
 bytecode of ``src`` and ``perfbench`` in both checkouts, so a working
@@ -33,8 +34,9 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 
-#: The workloads gated: the campaign-mode protocol path and time-to-proof.
-WORKLOADS = ("stress", "explore")
+#: The workloads gated: the miss- and stall-heavy protocol path, time-to-proof,
+#: and the hit-heavy protocol path with few stalls.
+WORKLOADS = ("stress", "explore", "paper_perf")
 PAIRS = 5
 SEED = 1
 #: A run that takes this many times its nominal length is counted as failed
