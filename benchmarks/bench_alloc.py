@@ -1,8 +1,8 @@
 """E12c — allocation profile: steady-state allocations per event.
 
 The protocol path should keep nothing once a simulation is over: every
-delivered ``Message`` is garbage once consumed, the event kernel's
-integer tokens and per-tick buckets replace per-event objects, and TBEs,
+delivered ``Message`` is garbage once consumed, the event queue drops
+each ``(tick, seq)`` pair and its callback entry once fired, and TBEs,
 cache entries and XG's per-address state die with their system. This
 bench checks it on the 18-config E3 stress matrix that perfbench
 ``stress`` runs (MESI, Hammer and MESIF hosts; controllers, TBEs, XG and
