@@ -17,8 +17,6 @@ Transaction kinds (at most one open per accelerator block address):
   accelerator, with a G2c timeout armed.
 """
 
-from collections import deque
-
 from repro.coherence.controller import CONSUMED, RETRY, STALL, CoherenceController
 from repro.coherence.tbe import TBETable
 from repro.memory.datablock import DataBlock, block_align
@@ -102,12 +100,14 @@ class CrossingGuardBase(CoherenceController):
         self.block_size = block_size
         self.accel_name = None
         self.tbes = TBETable(name=name)
-        # Link-fault hardening: recently consumed accel message uids, so a
-        # network-duplicated request/response is sunk instead of tripping
-        # G1b/G2b spuriously; plus per-address absorption budgets for the
-        # extra responses our own Invalidate retries can legitimately evoke.
-        self._seen_uids = set()
-        self._seen_uid_ring = deque()
+        # Link-fault hardening: recently consumed accel message uids, oldest
+        # first, so a network-duplicated request/response is sunk instead of
+        # tripping G1b/G2b spuriously; plus per-address absorption budgets
+        # for the extra responses our own Invalidate retries can
+        # legitimately evoke. A dict keeps its uids in the order they were
+        # consumed, also after a checkpoint restore refills it in place, so
+        # an unchanged filter pickles to the same bytes.
+        self._seen_uids = {}
         self._absorb_responses = {}  # addr -> [remaining, deadline_tick]
         #: Full State mirror directory: addr -> MirrorEntry
         self.mirror = {} if variant is XGVariant.FULL_STATE else None
@@ -256,12 +256,11 @@ class CrossingGuardBase(CoherenceController):
     DEDUPE_RING = 256
 
     def _mark_seen(self, uid):
-        if uid in self._seen_uids:
-            return
-        self._seen_uids.add(uid)
-        self._seen_uid_ring.append(uid)
-        while len(self._seen_uid_ring) > self.DEDUPE_RING:
-            self._seen_uids.discard(self._seen_uid_ring.popleft())
+        seen = self._seen_uids
+        if uid not in seen:
+            seen[uid] = None
+            if len(seen) > self.DEDUPE_RING:
+                del seen[next(iter(seen))]
 
     # -- main dispatch --------------------------------------------------------------------
 

@@ -5,16 +5,12 @@ marked ``explore_full`` and only run with ``--explore-full`` (CI's
 explore-smoke job and local deep verification).
 """
 
-import io
 import json
 import os
-import pickle
 import random
 import subprocess
 import sys
-from collections import deque
 from itertools import permutations
-from types import MethodType
 
 import pytest
 
@@ -275,47 +271,14 @@ def _reference_canonical(harness):
     return min(texts)
 
 
-def _plain(value, seeded):
-    """A decoded checkpoint value as comparable plain data: what the memo
-    seeds (fixed objects, enum members, classes) by identity, copied
-    objects by their attributes, sets as sets."""
-    if id(value) in seeded:
-        return ("seeded", id(value))
-    if isinstance(value, (set, frozenset)):
-        return ("set", frozenset(_plain(item, seeded) for item in value))
-    if isinstance(value, dict):
-        return ("dict", type(value), tuple((_plain(key, seeded), _plain(item, seeded))
-                                           for key, item in value.items()))
-    if isinstance(value, (list, tuple, deque)):
-        return (type(value), tuple(_plain(item, seeded) for item in value))
-    if isinstance(value, MethodType):
-        return ("method", id(value.__self__), value.__func__)
-    names = [name for klass in type(value).__mro__
-             for name in getattr(klass, "__slots__", ()) if hasattr(value, name)]
-    names.extend(getattr(value, "__dict__", ()))
-    if not names:
-        return value
-    return (type(value), tuple((name, _plain(getattr(value, name), seeded))
-                               for name in names))
-
-
-def _decoded(checkpointer, data):
-    unpickler = pickle.Unpickler(io.BytesIO(data))
-    unpickler.memo = checkpointer.load_memo
-    return _plain(unpickler.load(), set(checkpointer.dump_memo.copy()))
-
-
 def _assert_unmarked_groups_unchanged(harness):
     """Every group no action marked since the live checkpoint still
-    pickles to that checkpoint's bytes: exactly, or up to the iteration
-    order of a set, which refilling a set in place can change."""
+    pickles to that checkpoint's bytes."""
     checkpointer = harness.system.checkpointer
     live = harness._live.system
     for index, data in enumerate(live.groups):
         if index not in harness._changed:
-            now = checkpointer.dump(index)
-            assert now == data or (_decoded(checkpointer, now)
-                                   == _decoded(checkpointer, data)), (
+            assert checkpointer.dump(index) == data, (
                 f"group {index} changed unmarked")
 
 
