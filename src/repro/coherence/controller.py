@@ -88,12 +88,6 @@ class CoherenceController(Component):
     #: (proven by :mod:`repro.testing.golden`).
     DISPATCH_MODE = "compiled"
 
-    #: ticks of processing time per consumed message (0 = infinitely fast,
-    #: the default). When set, the controller handles one message per
-    #: occupancy window, so a flooded directory develops real queueing —
-    #: used by the contention experiments.
-    occupancy = 0
-
     def __init__(self, sim, name):
         super().__init__(sim, name)
         self.transitions = {}
@@ -106,7 +100,6 @@ class CoherenceController(Component):
         self._stalled = defaultdict(deque)
         self._stalled_since = {}
         self._stalled_total = 0
-        self._busy_until = 0
         self.protocol_errors = []
         # input buffers in declared priority order, resolved once
         self._prio_ports = tuple(
@@ -310,12 +303,8 @@ class CoherenceController(Component):
     # -- main loop ---------------------------------------------------------------
 
     def wakeup(self):
-        if self.sim.tick < self._busy_until:
-            self.request_wakeup(self._busy_until)
-            return
         lineage = self.sim.lineage
         while True:
-            did_work = False
             for port, buf in self._prio_ports:
                 # Pop BEFORE handling: a handler may wake stalled messages
                 # onto this port's head, and popping afterwards would
@@ -343,22 +332,14 @@ class CoherenceController(Component):
                     self._stall_sink.inc()
                     if lid:
                         lineage.stalled(lid, self.sim.tick)
-                    did_work = True
                 elif outcome == RETRY:
                     buf.push_front(self.sim.tick, msg)
                     if lid:
                         lineage.requeued(lid, self.sim.tick)
                     continue
-                else:
-                    did_work = True
+                # one message handled: rescan from the highest-priority port
                 break
-            if did_work and self.occupancy:
-                # Busy for the occupancy window; resume afterwards.
-                self._busy_until = self.sim.tick + self.occupancy
-                self.note_busy(self.occupancy)
-                self.request_wakeup(self._busy_until)
-                return
-            if not did_work:
+            else:
                 return
 
     # -- deadlock accounting -------------------------------------------------------

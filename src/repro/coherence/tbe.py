@@ -2,9 +2,9 @@
 
 A TBE holds everything a controller knows about one in-flight transaction:
 the transient state, accumulated data, ack/response counts, and who asked.
-The TBE table bounds how many transactions a controller can have open —
-Crossing Guard sizes its table to bound the state a misbehaving accelerator
-can pin (Section 2.3.2).
+A controller's TBE table holds one open transaction per block address and
+records the most it has held at once; it sets no bound on how many are
+open.
 """
 
 
@@ -55,20 +55,17 @@ class TBE:
 
 
 class TBETable:
-    """Bounded map from block address to :class:`TBE`."""
+    """Map from block address to its open :class:`TBE`."""
 
-    def __init__(self, capacity=None, name=""):
-        self.capacity = capacity
+    def __init__(self, name=""):
         self.name = name
         self._entries = {}
         self.high_water = 0
 
     def allocate(self, addr, state, now=0):
-        """Open a transaction; raises if one is already open or table full."""
+        """Open a transaction; raises if one is already open for ``addr``."""
         if addr in self._entries:
             raise ValueError(f"{self.name}: TBE already open for {addr:#x}")
-        if self.is_full():
-            raise ValueError(f"{self.name}: TBE table full ({self.capacity})")
         tbe = TBE(addr, state, opened_at=now)
         self._entries[addr] = tbe
         self.high_water = max(self.high_water, len(self._entries))
@@ -81,9 +78,6 @@ class TBETable:
     def deallocate(self, addr):
         """Close the transaction (KeyError if not open)."""
         return self._entries.pop(addr)
-
-    def is_full(self):
-        return self.capacity is not None and len(self._entries) >= self.capacity
 
     def __contains__(self, addr):
         return addr in self._entries
@@ -98,4 +92,4 @@ class TBETable:
         return list(self._entries)
 
     def __repr__(self):
-        return f"TBETable({self.name!r}, open={len(self._entries)}, cap={self.capacity})"
+        return f"TBETable({self.name!r}, open={len(self._entries)})"

@@ -150,7 +150,7 @@ def run_complexity_comparison():
 
 # -- E3: random stress + coverage --------------------------------------------------------------
 
-def stress_configs(seed, small=True, hosts=(HostProtocol.MESI, HostProtocol.HAMMER)):
+def stress_configs(seed, hosts=(HostProtocol.MESI, HostProtocol.HAMMER)):
     """The 12-configuration matrix with tiny caches and random latencies.
 
     ``hosts`` may include ``HostProtocol.MESIF`` (the Intel-like host this

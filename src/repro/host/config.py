@@ -52,12 +52,7 @@ class SystemConfig:
     block_size: int = 64
 
     # timing
-    directory_occupancy: int = 0  # ticks per message at the L2/directory
-    host_net_lo: int = 2
-    host_net_hi: int = 2  # lo == hi -> fixed latency
     host_net_bandwidth: float = None  # msgs/tick (None = unlimited)
-    accel_net_lo: int = 4
-    accel_net_hi: int = 4
     crossing_latency: int = 40  # host<->accelerator boundary
     mem_latency: int = 100
 
@@ -90,10 +85,10 @@ class SystemConfig:
     # campaign mode — replay the seed with a nonzero depth for forensics)
     trace_depth: int = 64
 
-    # set True by the stress harness: random message latencies
+    # set True by the stress harness: every message latency is drawn
+    # uniformly from [1, 15] ticks instead of the fixed 2 (host network)
+    # and 4 (accelerator network)
     randomize_latencies: bool = False
-    random_lat_lo: int = 1
-    random_lat_hi: int = 15
 
     tags: dict = field(default_factory=dict)
 

@@ -121,10 +121,6 @@ class System:
         return self
 
 
-def _latency(lo, hi):
-    return FixedLatency(lo) if lo == hi else RandomLatency(lo, hi)
-
-
 def build_system(config: SystemConfig) -> System:
     system = System(config)
     sim = Simulator(
@@ -137,11 +133,11 @@ def build_system(config: SystemConfig) -> System:
     system.memory = MainMemory(block_size=config.block_size, latency=config.mem_latency)
 
     if config.randomize_latencies:
-        host_lat = RandomLatency(config.random_lat_lo, config.random_lat_hi)
-        accel_lat = RandomLatency(config.random_lat_lo, config.random_lat_hi)
+        host_lat = RandomLatency(1, 15)
+        accel_lat = RandomLatency(1, 15)
     else:
-        host_lat = _latency(config.host_net_lo, config.host_net_hi)
-        accel_lat = _latency(config.accel_net_lo, config.accel_net_hi)
+        host_lat = FixedLatency(2)
+        accel_lat = FixedLatency(4)
     host_net = Network(
         sim, host_lat, ordered=False, name="host",
         bandwidth=config.host_net_bandwidth, fault_plan=config.fault_plan,
@@ -204,7 +200,6 @@ def build_system(config: SystemConfig) -> System:
             directory.add_cache(name)
             return cache
 
-    directory.occupancy = config.directory_occupancy
     system.directory = directory
 
     # -- CPU cores -------------------------------------------------------------------

@@ -101,12 +101,6 @@ def init_fabric_worker(frame_queue, config):
     )
 
 
-def _clear_fabric_worker():
-    global _WORKER_EMITTER
-    _WORKER_EMITTER = None
-    _simulator.set_progress_hook(None)
-
-
 @contextmanager
 def inproc_worker(collector):
     """Run the worker-side fabric in this process (``workers=1`` path).
@@ -622,7 +616,7 @@ def use_fabric(collector):
 
 @contextmanager
 def live_fabric(live=True, interval=1.0, stream=None, force_mode=None,
-                stall_after=DEFAULT_STALL_AFTER, config=None):
+                config=None):
     """One-stop CLI context: collector + renderer + ambient installation.
 
     ``live=False`` yields ``None`` and does nothing — callers can wrap
@@ -633,8 +627,7 @@ def live_fabric(live=True, interval=1.0, stream=None, force_mode=None,
         yield None
         return
     renderer = LiveRenderer(stream=stream, interval=interval, mode=force_mode)
-    collector = FabricCollector(renderer=renderer, stall_after=stall_after,
-                                config=config)
+    collector = FabricCollector(renderer=renderer, config=config)
     with use_fabric(collector):
         yield collector
     renderer.close()

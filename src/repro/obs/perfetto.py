@@ -13,9 +13,8 @@ Produces the JSON object format of the Trace Event spec (the one
   ranges as slices per link, injected faults and guarantee marks as
   instants.
 * **pid 4 — counters**: "C" counter tracks from the telemetry time
-  series, real per-component occupancy (bucketed ``busy_ticks`` from
-  :meth:`~repro.sim.component.Component.note_busy`), and derived
-  transition-density occupancy for components that never go busy.
+  series, and one occupancy track per controller: the transitions it
+  executed per time bucket.
 
 Ticks map 1:1 to microseconds (``ts``/``dur``), so a 10k-tick run reads
 as a 10 ms trace — the absolute unit is arbitrary, relative timing is
@@ -29,7 +28,7 @@ PID_PROTOCOL = 2
 PID_FAULTS = 3
 PID_COUNTERS = 4
 
-#: How many buckets the derived occupancy counters use across the run.
+#: How many buckets the occupancy counters use across the run.
 OCCUPANCY_BUCKETS = 200
 
 
@@ -218,32 +217,8 @@ def _emit_counters(events, telemetry):
                 "name": key, "cat": "series", "args": {"value": value},
             })
 
-    # Real occupancy: the busy windows Component.note_busy recorded.
-    # Bucketed busy ticks per component; each component's track sums to
-    # exactly its simulator-side ``busy_ticks`` counter.
-    busy = getattr(telemetry, "busy", None) or ()
-    measured = set()
-    if busy:
-        last_tick = busy[-1][0]
-        bucket = max(1, (last_tick + 1) // OCCUPANCY_BUCKETS)
-        totals = {}
-        for tick, component, ticks in busy:
-            slot = (tick // bucket) * bucket
-            comp_totals = totals.setdefault(component, {})
-            comp_totals[slot] = comp_totals.get(slot, 0) + ticks
-        measured = set(totals)
-        for component in sorted(totals):
-            for slot in sorted(totals[component]):
-                events.append({
-                    "ph": "C", "pid": PID_COUNTERS, "tid": 0, "ts": slot,
-                    "name": f"occupancy.{component}", "cat": "occupancy",
-                    "args": {"busy_ticks": totals[component][slot]},
-                })
-
-    # Derived occupancy for zero-occupancy components: transitions executed
-    # per bucket — a poor man's utilization track, visible even without a
-    # series. Components with real busy accounting above are skipped so one
-    # track name never mixes the two units.
+    # Occupancy: transitions executed per bucket — a utilization track
+    # per controller, visible even without a series.
     transitions = telemetry.transitions
     if not transitions:
         return
@@ -251,11 +226,8 @@ def _emit_counters(events, telemetry):
     bucket = max(1, (last_tick + 1) // OCCUPANCY_BUCKETS)
     counts = {}
     for tick, component, _ctype, _state, _event in transitions:
-        if component in measured:
-            continue
-        counts.setdefault(component, {})
         slot = (tick // bucket) * bucket
-        comp_counts = counts[component]
+        comp_counts = counts.setdefault(component, {})
         comp_counts[slot] = comp_counts.get(slot, 0) + 1
     for component in sorted(counts):
         for slot in sorted(counts[component]):

@@ -237,7 +237,6 @@ class Telemetry:
         self.max_transitions = max_transitions
         self.faults = []
         self.marks = []
-        self.busy = []
         self.series = []
         self.series_interval = 0
         self._finalized = False
@@ -269,15 +268,6 @@ class Telemetry:
             return
         transitions.append((tick, component, ctype, name_of(state), name_of(event)))
 
-    def record_busy(self, tick, component, ticks):
-        """One occupancy window: ``component`` busy for ``ticks`` from ``tick``.
-
-        Recorded exactly when the ``busy_ticks`` counter increments, so the
-        sum over a component's records always equals its counter — the
-        Perfetto exporter draws its real occupancy tracks from these.
-        """
-        self.busy.append((tick, component, ticks))
-
     def record_fault(self, tick, link, kind, msg=None):
         mtype = getattr(getattr(msg, "mtype", None), "name", None)
         self.faults.append((tick, link, kind, mtype))
@@ -287,18 +277,15 @@ class Telemetry:
 
     # -- time series ---------------------------------------------------------------
 
-    def start_series(self, interval, extra=None):
+    def start_series(self, interval):
         """Sample counters every ``interval`` ticks while the sim has work.
 
-        ``extra`` is an optional zero-arg callable returning a dict merged
-        into each sample. The sampler re-arms itself only while other
-        events remain queued, so it can never keep an otherwise-drained
-        simulation alive.
+        The sampler re-arms itself only while other events remain queued,
+        so it can never keep an otherwise-drained simulation alive.
         """
         if interval < 1:
             raise ValueError(f"series interval must be >= 1, got {interval}")
         self.series_interval = interval
-        self._series_extra = extra
         self.sim.schedule(0, self._sample_series)
 
     def _sample_series(self):
@@ -312,18 +299,14 @@ class Telemetry:
         base = sample_counters(self.sim)
         # key order matters: trace files are compared byte-for-byte by the
         # determinism tests, so keep the historical sample layout
-        sample = {
+        self.series.append({
             "tick": base["tick"],
             "events_fired": base["events_fired"],
             "open_spans": self.spans.open_count,
             "spans_closed": self.spans.finished_total,
             "open_tbes": base["open_tbes"],
             "stalled_msgs": base["stalled_msgs"],
-        }
-        extra = getattr(self, "_series_extra", None)
-        if extra is not None:
-            sample.update(extra())
-        self.series.append(sample)
+        })
 
     # -- shutdown / summaries ----------------------------------------------------------
 

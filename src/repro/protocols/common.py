@@ -33,9 +33,9 @@ class CacheControllerBase(CoherenceController):
 
     INVALID_STATE = None
 
-    def __init__(self, sim, name, num_sets=64, assoc=4, block_size=64, tbe_capacity=None):
+    def __init__(self, sim, name, num_sets=64, assoc=4, block_size=64):
         self.cache = CacheArray(num_sets, assoc, block_size=block_size, name=name)
-        self.tbes = TBETable(capacity=tbe_capacity, name=name)
+        self.tbes = TBETable(name=name)
         self.block_size = block_size
         self.sequencers = {}
         # pre-resolved hot-path accessors: block_state runs per message, so

@@ -219,19 +219,6 @@ class Component:
         if earliest is not None:
             self.request_wakeup(earliest)
 
-    def note_busy(self, ticks):
-        """Account ``ticks`` of occupied processing time ending a wakeup.
-
-        Feeds both the ``busy_ticks`` counter and, when a telemetry hub is
-        attached, the real occupancy tracks in the Perfetto export — the
-        exported per-component totals are asserted equal to this counter by
-        ``tests/test_occupancy.py``.
-        """
-        self.stats.inc("busy_ticks", ticks)
-        obs = self.sim.obs
-        if obs is not None:
-            obs.record_busy(self.sim.tick, self.name, ticks)
-
     def next_pending_tick(self):
         """Earliest arrival tick over all input ports, or None."""
         earliest = None

@@ -204,15 +204,12 @@ class InvariantWatchdog:
     with it enabled.
 
     On a violation it records span/trace forensics, annotates the
-    :class:`InvariantError` with them (``exc.forensics``), and re-raises
-    (``raise_on_violation=False`` collects instead, for post-run triage).
+    :class:`InvariantError` with them (``exc.forensics``), and re-raises.
     """
 
-    def __init__(self, system, interval=DEFAULT_WATCHDOG_INTERVAL,
-                 raise_on_violation=True):
+    def __init__(self, system, interval=DEFAULT_WATCHDOG_INTERVAL):
         self.system = system
         self.interval = max(1, int(interval))
-        self.raise_on_violation = raise_on_violation
         self.samples = 0   # times the loop handed us control
         self.checks = 0    # samples that found quiescence and ran check_all
         self.skipped = 0   # samples skipped because traffic was in flight
@@ -257,9 +254,8 @@ class InvariantWatchdog:
                     sim.tick, "invariant_violation", component="watchdog",
                     name=type(exc).__name__,
                 )
-            if self.raise_on_violation:
-                exc.forensics = record
-                raise
+            exc.forensics = record
+            raise
         return self._next
 
     def _forensics(self, sim, exc, final):

@@ -83,7 +83,7 @@ EXPLORER_ACCEL_TIMEOUT = 1 << 30
 #: Bound on simultaneously parked (in-flight) messages; a run past this
 #: is an unbounded-channel violation, mirroring the abstract model's
 #: ``_CHANNEL_BOUND``.
-DEFAULT_CHANNEL_BOUND = 32
+CHANNEL_BOUND = 32
 
 #: Checkpoints the BFS holds at once for discovered states awaiting
 #: expansion (a few kilobytes each). A state found past it carries only
@@ -213,10 +213,9 @@ class ExplorerHarness:
     changed since the checkpoint the live objects last matched.
     """
 
-    def __init__(self, cell, channel_bound=DEFAULT_CHANNEL_BOUND):
+    def __init__(self, cell):
         self.cell = dict(cell)
         self.addresses = list(ADDRESS_POOL[: self.cell.get("addresses", 1)])
-        self.channel_bound = channel_bound
         self.config = cell_config(**self.cell)
         self.system = build_system(self.config)
         self.sim = self.system.sim
@@ -450,10 +449,10 @@ class ExplorerHarness:
                 problems.append(
                     f"XG guarantee violated: {record.guarantee.name} "
                     f"addr={record.addr:#x}: {record.description}")
-        if len(self.parked) > self.channel_bound:
+        if len(self.parked) > CHANNEL_BOUND:
             problems.append(
                 f"channel bound exceeded: {len(self.parked)} parked "
-                f"messages > {self.channel_bound}")
+                f"messages > {CHANNEL_BOUND}")
         if self.is_quiescent():
             try:
                 check_all(self.system)
@@ -679,9 +678,9 @@ def state_set_digest(visited):
 # -- frontier expansion -------------------------------------------------------
 
 
-def replay_path(cell, path, channel_bound=DEFAULT_CHANNEL_BOUND):
+def replay_path(cell, path):
     """Rebuild the state at the end of ``path`` on a fresh simulator."""
-    harness = ExplorerHarness(cell, channel_bound=channel_bound)
+    harness = ExplorerHarness(cell)
     for action in path:
         harness.apply(action)
     return harness
@@ -820,8 +819,7 @@ def _harvest(covered, projections, harness, controllers, project=True):
 
 
 def explore_cell(host="mesi", variant="full_state", addresses=1, n_cpus=2,
-                 max_states=100_000, check=None,
-                 channel_bound=DEFAULT_CHANNEL_BOUND, progress=None):
+                 max_states=100_000, check=None, progress=None):
     """Breadth-first reachability exploration of one (host × variant) cell.
 
     Returns a result dict: state/transition/quiescent counts, the
@@ -848,7 +846,7 @@ def explore_cell(host="mesi", variant="full_state", addresses=1, n_cpus=2,
     """
     cell = {"host": host, "variant": variant,
             "addresses": addresses, "n_cpus": n_cpus}
-    harness = ExplorerHarness(cell, channel_bound=channel_bound)
+    harness = ExplorerHarness(cell)
     root_digest = harness.digest()
     visited = {root_digest}
     quiescent = {root_digest} if harness.is_quiescent() else set()

@@ -21,6 +21,10 @@ class PagePermission(IdEnum):
         return self is PagePermission.READ_WRITE
 
 
+#: Bytes per page, the granularity of every grant.
+PAGE_SIZE = 4096
+
+
 class PermissionTable:
     """Per-page permissions for one accelerator.
 
@@ -29,16 +33,13 @@ class PermissionTable:
     READ_WRITE (the paper's Section 4.1 does the same).
     """
 
-    def __init__(self, page_size=4096, default=PagePermission.NONE):
-        if page_size <= 0 or page_size & (page_size - 1):
-            raise ValueError("page_size must be a power of two")
-        self.page_size = page_size
+    def __init__(self, default=PagePermission.NONE):
         self.default = default
         self._pages = {}
         self.lookups = 0
 
     def page_of(self, addr):
-        return addr - (addr % self.page_size)
+        return addr - (addr % PAGE_SIZE)
 
     def grant(self, addr, permission, length=None):
         """Set permission for the page(s) covering [addr, addr+length)."""
@@ -48,7 +49,7 @@ class PermissionTable:
         end = addr + length - 1
         while page <= end:
             self._pages[page] = permission
-            page += self.page_size
+            page += PAGE_SIZE
 
     def revoke(self, addr, length=None):
         self.grant(addr, PagePermission.NONE, length=length)

@@ -86,6 +86,18 @@ def test_undefined_transition_raises_protocol_error():
         sim.run()
 
 
+def test_messages_arriving_together_are_handled_in_their_tick():
+    """Handling takes no simulated time: four messages that arrive at tick
+    5 are all handled at tick 5, in arrival order."""
+    sim = Simulator()
+    ctrl = _Toy(sim, "toy")
+    for i in range(4):
+        _send(ctrl, Ev.Go, 64 * i, tick=5)
+    sim.run()
+    assert ctrl.processed == [0x0, 0x40, 0x80, 0xC0]
+    assert sim.tick == 5
+
+
 def test_stall_and_wake_preserves_order():
     sim = Simulator()
     ctrl = _Toy(sim, "toy")

@@ -147,16 +147,6 @@ def test_watchdog_catches_seeded_corruption_with_forensics():
     assert system.watchdog.violations == [record]
 
 
-def test_watchdog_collect_mode_does_not_raise():
-    system = _watched_system()
-    system.watchdog.raise_on_violation = False
-    system.cpu_seqs[0].store(0x1000, 5)
-    system.sim.run()
-    system.xg.mirror_set(0x8040, "O", None)
-    system.watchdog.sample(system.sim, final=True)
-    assert len(system.watchdog.violations) == 1
-
-
 def test_watchdog_never_schedules_events_or_touches_stats():
     system = _watched_system()
     system.cpu_seqs[0].store(0x1000, 5)

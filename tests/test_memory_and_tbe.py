@@ -63,16 +63,17 @@ def test_tbe_double_allocate_rejected():
         table.allocate(0x40, "B")
 
 
-def test_tbe_capacity_and_high_water():
-    table = TBETable(capacity=2)
+def test_tbe_high_water():
+    table = TBETable()
     table.allocate(0x0, "A")
     table.allocate(0x40, "A")
-    assert table.is_full()
-    with pytest.raises(ValueError):
-        table.allocate(0x80, "A")
     table.deallocate(0x0)
     table.allocate(0x80, "A")
-    assert table.high_water == 2
+    assert len(table) == 2 and table.high_water == 2
+    table.allocate(0xC0, "A")
+    table.deallocate(0x40)
+    table.deallocate(0x80)
+    assert len(table) == 1 and table.high_water == 3
 
 
 def test_tbe_ack_helper():

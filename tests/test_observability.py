@@ -339,7 +339,7 @@ def test_validate_trace_checks_series_and_fault_window_args():
              "tid": 0, "ts": 5, "args": {"value": 12}},
             # occupancy counters keep their own arg names: not series-gated
             {"ph": "C", "name": "occupancy.l2", "cat": "occupancy", "pid": 4,
-             "tid": 0, "ts": 5, "args": {"busy_ticks": 3}},
+             "tid": 0, "ts": 5, "args": {"transitions": 3}},
             {"ph": "X", "name": "window:drop", "cat": "fault-window",
              "pid": 3, "tid": 1, "ts": 0, "dur": 10, "args": {"rate": 0.25}},
         ]

@@ -47,7 +47,7 @@ def test_permission_lattice():
 
 
 def test_permission_table_grant_revoke():
-    table = PermissionTable(page_size=4096, default=PagePermission.NONE)
+    table = PermissionTable(default=PagePermission.NONE)
     table.grant(0x10000, PagePermission.READ_WRITE)
     assert table.allows_write(0x10ABC)  # same page
     assert not table.allows_read(0x20000)
@@ -56,16 +56,11 @@ def test_permission_table_grant_revoke():
 
 
 def test_permission_table_range_grant():
-    table = PermissionTable(page_size=4096, default=PagePermission.NONE)
+    table = PermissionTable(default=PagePermission.NONE)
     table.grant(0x1000, PagePermission.READ, length=3 * 4096)
     assert table.allows_read(0x1000)
     assert table.allows_read(0x3FFF)
     assert not table.allows_read(0x5000)
-
-
-def test_permission_page_size_validation():
-    with pytest.raises(ValueError):
-        PermissionTable(page_size=3000)
 
 
 @given(
@@ -73,7 +68,7 @@ def test_permission_page_size_validation():
     st.sampled_from(list(PagePermission)),
 )
 def test_permission_applies_to_whole_page(addr, perm):
-    table = PermissionTable(page_size=4096, default=PagePermission.NONE)
+    table = PermissionTable(default=PagePermission.NONE)
     table.grant(addr, perm)
     page = table.page_of(addr)
     assert table.lookup(page) is perm
