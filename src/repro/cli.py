@@ -26,7 +26,8 @@ Commands:
 
 import argparse
 import sys
-from contextlib import ExitStack
+import time
+from contextlib import ExitStack, contextmanager, nullcontext
 
 from repro.eval.report import format_error_log, format_table
 
@@ -46,26 +47,67 @@ def _add_live_args(cmd):
                           "successful jobs too (default: failures only)")
 
 
-def _campaign_fabric(stack, args):
+@contextmanager
+def _campaign_fabric(args):
     """Fabric for a campaign command: live renderer and/or forensics-all.
 
     ``--live`` brings up the rendering fabric as before; ``--forensics-all``
     without ``--live`` still needs a (renderer-less) fabric so workers
-    carry their flight recorders. Returns the collector or None.
+    carry their flight recorders. Yields the collector or None.
     """
     from repro.obs.fabric import FabricCollector, live_fabric, use_fabric
 
-    config = {"forensics_all": True} if getattr(args, "forensics_all", False) \
-        else None
-    fabric = stack.enter_context(
-        live_fabric(live=getattr(args, "live", False),
-                    interval=args.live_interval, config=config)
-    )
-    if fabric is None and config is not None:
+    config = {"forensics_all": True} if args.forensics_all else None
+    with ExitStack() as stack:
         fabric = stack.enter_context(
-            use_fabric(FabricCollector(renderer=None, config=config))
+            live_fabric(live=args.live, interval=args.live_interval, config=config)
         )
-    return fabric
+        if fabric is None and config is not None:
+            fabric = stack.enter_context(
+                use_fabric(FabricCollector(renderer=None, config=config))
+            )
+        yield fabric
+
+
+def _add_stress_args(cmd, seeds, ops):
+    """``--seeds``/``--ops``/``--workers``, shared by the commands that run
+    the stress campaign (:func:`_run_stress_command`)."""
+    cmd.add_argument("--seeds", type=int, default=seeds)
+    cmd.add_argument("--ops", type=int, default=ops)
+    cmd.add_argument("--workers", type=int, default=None,
+                     help="parallel campaign processes (default: cpu count; "
+                          "1 = in-process, best for debugging)")
+
+
+def _run_stress_command(args, show, fabric=nullcontext(), **options):
+    """The body of ``stress``, ``report``, ``blame`` and ``top``.
+
+    Runs the stress campaign over ``--seeds`` x ``--ops`` on ``--workers``
+    inside the ``fabric`` context, with ``options`` passed on to
+    ``run_stress_coverage``, and prints the run count. Then ``show(result,
+    collector)`` prints the command's own output, and each failed run is
+    printed with its deadlock diagnosis. Exits 1 when a run failed or
+    ``show`` returns true.
+    """
+    from repro.eval.campaign import resolve_workers
+    from repro.eval.experiments import run_stress_coverage
+
+    workers = resolve_workers(args.workers)
+    start = time.perf_counter()
+    with fabric as collector:
+        result = run_stress_coverage(
+            seeds=range(args.seeds), ops_per_run=args.ops, workers=workers, **options
+        )
+    elapsed = time.perf_counter() - start
+    failures = [r for r in result["runs"] if not r["passed"]]
+    print(f"{len(result['runs'])} stress runs, {len(failures)} failures "
+          f"({workers} worker{'s' if workers != 1 else ''}, {elapsed:.1f}s)")
+    bad = show(result, collector)
+    for failure in failures:
+        print("FAIL:", failure["config"], "seed", failure["seed"], failure["detail"])
+        if failure.get("diagnosis"):
+            print(failure["diagnosis"])
+    return 1 if failures or bad else 0
 
 
 def _cmd_demo(args):
@@ -100,46 +142,24 @@ def _cmd_demo(args):
 
 
 def _cmd_stress(args):
-    import time
-
-    from repro.eval.campaign import resolve_workers
-    from repro.eval.experiments import run_stress_coverage
-
-    workers = resolve_workers(args.workers)
-    start = time.perf_counter()
-    with ExitStack() as stack:
-        fabric = _campaign_fabric(stack, args)
-        result = run_stress_coverage(
-            seeds=range(args.seeds), ops_per_run=args.ops, workers=workers
-        )
-    elapsed = time.perf_counter() - start
-    if fabric is not None and args.live and args.dash_out:
-        from repro.eval.report import write_campaign_dashboard
-
-        write_campaign_dashboard(args.dash_out, fabric.summary())
-        print(f"wrote {args.dash_out}")
-    kept = result.get("forensics", [])
-    if kept:
-        print(f"forensics: kept {len(kept)} successful-job black box(es)")
-    failures = [r for r in result["runs"] if not r["passed"]]
-    print(
-        format_table(
+    def show(result, fabric):
+        print(format_table(
             ["controller", "visited", "possible", "coverage"],
             [
                 (c["controller"], c["visited"], c["possible"], f"{c['fraction']:.1%}")
                 for c in result["coverage"]
             ],
-            title=(
-                f"{len(result['runs'])} stress runs, {len(failures)} failures "
-                f"({workers} worker{'s' if workers != 1 else ''}, {elapsed:.1f}s)"
-            ),
-        )
-    )
-    for failure in failures:
-        print("FAIL:", failure["config"], "seed", failure["seed"], failure["detail"])
-        if failure.get("diagnosis"):
-            print(failure["diagnosis"])
-    return 1 if failures else 0
+        ))
+        if fabric is not None and args.live and args.dash_out:
+            from repro.eval.report import write_campaign_dashboard
+
+            write_campaign_dashboard(args.dash_out, fabric.summary())
+            print(f"wrote {args.dash_out}")
+        kept = result.get("forensics", [])
+        if kept:
+            print(f"forensics: kept {len(kept)} successful-job black box(es)")
+
+    return _run_stress_command(args, show, _campaign_fabric(args))
 
 
 def _cmd_golden(args):
@@ -262,8 +282,8 @@ def _cmd_campaign(args):
             from repro.obs.fabric import inproc_session
 
             label = f"{args.command}/{args.host}/{args.variant}/{args.adversary}"
-            emitter = stack.enter_context(
-                inproc_session(_campaign_fabric(stack, args), label=label))
+            fabric = stack.enter_context(_campaign_fabric(args))
+            emitter = stack.enter_context(inproc_session(fabric, label=label))
         result, system = run_scenario(scenario)
         if args.forensics_all:
             snap = emitter.failure_forensics()["flight_recorder"]
@@ -299,7 +319,6 @@ def _cmd_campaign(args):
 
 def _cmd_rogue(args):
     import json
-    import time
 
     from repro.eval.campaign import resolve_workers
     from repro.eval.report import format_rogue_matrix
@@ -323,8 +342,7 @@ def _cmd_rogue(args):
     workers = resolve_workers(args.workers)
     start = time.perf_counter()
     try:
-        with ExitStack() as stack:
-            _campaign_fabric(stack, args)
+        with _campaign_fabric(args):
             rows = run_rogue_matrix(
                 plans=plans,
                 hosts=hosts,
@@ -400,89 +418,56 @@ def _cmd_trace(args):
 
 
 def _cmd_report(args):
-    import time
+    from repro.obs import render_blame, render_matrix
 
-    from repro.eval.campaign import resolve_workers
-    from repro.eval.experiments import run_stress_coverage
-    from repro.obs import render_matrix
-
-    workers = resolve_workers(args.workers)
     reachable = None
     if args.explore_report:
         from repro.verify.explorer import load_reachable_report
 
         reachable = load_reachable_report(args.explore_report)
-    start = time.perf_counter()
-    result = run_stress_coverage(
-        seeds=range(args.seeds), ops_per_run=args.ops, workers=workers,
-        telemetry=True, lineage=args.lineage,
-    )
-    elapsed = time.perf_counter() - start
-    failures = [r for r in result["runs"] if not r["passed"]]
-    print(f"{len(result['runs'])} stress runs, {len(failures)} failures "
-          f"({workers} worker{'s' if workers != 1 else ''}, {elapsed:.1f}s)\n")
-    print(render_matrix(result["matrix"], reachable=reachable))
-    if args.lineage:
-        from repro.obs import render_blame
 
+    def show(result, _fabric):
         print()
-        print(render_blame(result["blame"]))
-    for failure in failures:
-        print("FAIL:", failure["config"], "seed", failure["seed"], failure["detail"])
-    return 1 if failures else 0
+        print(render_matrix(result["matrix"], reachable=reachable))
+        if args.lineage:
+            print()
+            print(render_blame(result["blame"]))
+
+    return _run_stress_command(args, show, telemetry=True, lineage=args.lineage)
 
 
 def _cmd_blame(args):
     import json
-    import time
 
-    from repro.eval.campaign import resolve_workers
-    from repro.eval.experiments import run_stress_coverage
     from repro.obs import render_blame
 
-    workers = resolve_workers(args.workers)
-    start = time.perf_counter()
-    result = run_stress_coverage(
-        seeds=range(args.seeds), ops_per_run=args.ops, workers=workers,
-        telemetry=True, lineage=True,
-    )
-    elapsed = time.perf_counter() - start
-    failures = [r for r in result["runs"] if not r["passed"]]
-    print(f"{len(result['runs'])} stress runs, {len(failures)} failures "
-          f"({workers} worker{'s' if workers != 1 else ''}, {elapsed:.1f}s)\n")
-    print(render_blame(result["blame"], top=args.top))
-    if args.out:
-        with open(args.out, "w") as fh:
-            json.dump(result["blame"].as_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        print(f"\nwrote {args.out}")
-    for failure in failures:
-        print("FAIL:", failure["config"], "seed", failure["seed"], failure["detail"])
-    return 1 if failures else 0
+    def show(result, _fabric):
+        print()
+        print(render_blame(result["blame"], top=args.top))
+        if args.out:
+            with open(args.out, "w") as fh:
+                json.dump(result["blame"].as_dict(), fh, indent=2, sort_keys=True)
+                fh.write("\n")
+            print(f"\nwrote {args.out}")
+
+    return _run_stress_command(args, show, telemetry=True, lineage=True)
 
 
 def _cmd_top(args):
-    from repro.eval.campaign import resolve_workers
-    from repro.eval.experiments import run_stress_coverage
     from repro.eval.report import format_fabric_summary, write_campaign_dashboard
     from repro.obs.fabric import live_fabric
 
-    workers = resolve_workers(args.workers)
-    with live_fabric(live=True, interval=args.live_interval) as fabric:
-        result = run_stress_coverage(
-            seeds=range(args.seeds), ops_per_run=args.ops, workers=workers
-        )
-    summary = fabric.summary()
-    print()
-    print(format_fabric_summary(summary))
-    if args.dash_out:
-        write_campaign_dashboard(args.dash_out, summary)
-        print(f"\nwrote {args.dash_out}")
-    failures = [r for r in result["runs"] if not r["passed"]]
-    for failure in failures:
-        print("FAIL:", failure["config"], "seed", failure["seed"],
-              failure["detail"])
-    return 1 if failures or summary["jobs_lost"] else 0
+    def show(_result, fabric):
+        summary = fabric.summary()
+        print()
+        print(format_fabric_summary(summary))
+        if args.dash_out:
+            write_campaign_dashboard(args.dash_out, summary)
+            print(f"\nwrote {args.dash_out}")
+        return summary["jobs_lost"]
+
+    return _run_stress_command(
+        args, show, live_fabric(live=True, interval=args.live_interval))
 
 
 def _cmd_verify(args):
@@ -504,7 +489,6 @@ def _cmd_verify(args):
 
 def _cmd_explore(args):
     import json
-    import time
 
     from repro.verify.explorer import (
         cross_check_coverage, explore_cell, run_cell_stress)
@@ -734,11 +718,7 @@ def build_parser():
     demo.set_defaults(fn=_cmd_demo)
 
     stress = sub.add_parser("stress", help="random protocol stress (Section 4.1)")
-    stress.add_argument("--seeds", type=int, default=2)
-    stress.add_argument("--ops", type=int, default=1500)
-    stress.add_argument("--workers", type=int, default=None,
-                        help="parallel campaign processes (default: cpu count; "
-                             "1 = in-process, best for debugging)")
+    _add_stress_args(stress, seeds=2, ops=1500)
     _add_live_args(stress)
     stress.add_argument("--dash-out", dest="dash_out", default=None,
                         metavar="PATH",
@@ -825,10 +805,7 @@ def build_parser():
     report = sub.add_parser(
         "report", help="telemetry-on stress: coverage heatmap + span percentiles"
     )
-    report.add_argument("--seeds", type=int, default=2)
-    report.add_argument("--ops", type=int, default=1500)
-    report.add_argument("--workers", type=int, default=None,
-                        help="campaign processes (default: all cores, capped)")
+    _add_stress_args(report, seeds=2, ops=1500)
     report.add_argument("--lineage", action="store_true",
                         help="also record causal lineage and append the "
                              "blame breakdown (see `repro blame`)")
@@ -844,10 +821,7 @@ def build_parser():
         "blame",
         help="lineage-on stress: critical-path blame for every transaction",
     )
-    blame.add_argument("--seeds", type=int, default=1)
-    blame.add_argument("--ops", type=int, default=800)
-    blame.add_argument("--workers", type=int, default=None,
-                       help="campaign processes (default: all cores, capped)")
+    _add_stress_args(blame, seeds=1, ops=800)
     blame.add_argument("--top", type=int, default=5,
                        help="slowest transactions to show with critical paths")
     blame.add_argument("-o", "--out", default=None, metavar="PATH",
@@ -858,10 +832,7 @@ def build_parser():
     top = sub.add_parser(
         "top", help="live campaign view: stress sweep under the telemetry fabric"
     )
-    top.add_argument("--seeds", type=int, default=2)
-    top.add_argument("--ops", type=int, default=1500)
-    top.add_argument("--workers", type=int, default=None,
-                     help="parallel campaign processes (default: cpu count)")
+    _add_stress_args(top, seeds=2, ops=1500)
     top.add_argument("--live-interval", dest="live_interval", type=float,
                      default=1.0, metavar="SECONDS",
                      help="seconds between live progress updates")
