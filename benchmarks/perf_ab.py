@@ -5,8 +5,8 @@
 Run from the root of the change checkout; ``BASE`` is the path of a
 second checkout, of the commit the change is based on. Each of
 :data:`PAIRS` pairs runs ``perfbench/run.py`` once per side on every
-workload in :data:`WORKLOADS` (``stress``, ``explore`` and
-``paper_perf``), alternating which side goes first, each side with its
+workload in :data:`WORKLOADS` (``stress``, ``hostile``, ``explore``
+and ``paper_perf``), alternating which side goes first, each side with its
 own checkout's runner. The command, run length and the
 end-to-end metrics with their bounds and directions come from
 ``BENCHMARK.json``. Before the first pair, ``compileall`` writes the
@@ -34,9 +34,11 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 
-#: The workloads gated: the miss- and stall-heavy protocol path, time-to-proof,
-#: and the hit-heavy protocol path with few stalls.
-WORKLOADS = ("stress", "explore", "paper_perf")
+#: The workloads gated: the miss- and stall-heavy protocol path, XG
+#: containment under link faults and rogue accelerators (the scenario runner,
+#: the invariant watchdog, spans and lineage, the process pool with a
+#: fabric), time-to-proof, and the hit-heavy protocol path with few stalls.
+WORKLOADS = ("stress", "hostile", "explore", "paper_perf")
 PAIRS = 5
 SEED = 1
 #: A run that takes this many times its nominal length is counted as failed
